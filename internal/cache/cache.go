@@ -32,8 +32,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"multicast/internal/campaign"
+	"multicast/internal/jsonenc"
 	"multicast/internal/sim"
 )
 
@@ -71,6 +73,61 @@ type entry struct {
 	Metrics       sim.Metrics `json:"metrics"`
 }
 
+// appendJSON appends e's compact JSON encoding — byte-identical to what
+// encoding/json writes for the entry struct, so entries written before
+// this encoder existed keep their checksums and stay hits — and returns
+// the offset of the checksum string's contents, for SpliceChecksum.
+func (e *entry) appendJSON(dst []byte) ([]byte, int, error) {
+	dst = append(dst, `{"schema_version":`...)
+	dst = strconv.AppendInt(dst, int64(e.SchemaVersion), 10)
+	dst = append(dst, `,"checksum":`...)
+	at := len(dst) + 1
+	dst = jsonenc.AppendString(dst, e.Checksum)
+	dst = append(dst, `,"key":`...)
+	dst = jsonenc.AppendString(dst, e.Key)
+	dst = append(dst, `,"metrics":`...)
+	dst, err := appendMetrics(dst, &e.Metrics)
+	if err != nil {
+		return nil, 0, err
+	}
+	return append(dst, '}'), at, nil
+}
+
+// appendMetrics appends m under its Go field names, as encoding/json
+// encodes the untagged sim.Metrics struct. A non-finite MeanNodeEnergy
+// is refused, as encoding/json refuses it.
+func appendMetrics(dst []byte, m *sim.Metrics) ([]byte, error) {
+	dst = append(dst, `{"Slots":`...)
+	dst = strconv.AppendInt(dst, m.Slots, 10)
+	dst = append(dst, `,"MaxNodeEnergy":`...)
+	dst = strconv.AppendInt(dst, m.MaxNodeEnergy, 10)
+	dst = append(dst, `,"SourceEnergy":`...)
+	dst = strconv.AppendInt(dst, m.SourceEnergy, 10)
+	dst = append(dst, `,"MeanNodeEnergy":`...)
+	dst, err := jsonenc.AppendFloat(dst, m.MeanNodeEnergy)
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst, `,"EveEnergy":`...)
+	dst = strconv.AppendInt(dst, m.EveEnergy, 10)
+	dst = append(dst, `,"AllInformedSlot":`...)
+	dst = strconv.AppendInt(dst, m.AllInformedSlot, 10)
+	dst = append(dst, `,"FirstHelperSlot":`...)
+	dst = strconv.AppendInt(dst, m.FirstHelperSlot, 10)
+	dst = append(dst, `,"FirstHaltSlot":`...)
+	dst = strconv.AppendInt(dst, m.FirstHaltSlot, 10)
+	dst = append(dst, `,"Invariants":`...)
+	dst = m.Invariants.AppendJSON(dst)
+	dst = append(dst, `,"HelperJCounts":[`...)
+	for i, n := range m.HelperJCounts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
+	return append(dst, "]}"...), nil
+}
+
 // checksum returns the entry's content digest: compact JSON with the
 // Checksum field empty. sim.Metrics is a flat struct of integers and
 // one float64, both of which Go JSON round-trips exactly, so the digest
@@ -78,13 +135,17 @@ type entry struct {
 func (e *entry) checksum() (string, error) {
 	c := *e
 	c.Checksum = ""
-	data, err := json.Marshal(&c)
+	data, _, err := c.appendJSON(make([]byte, 0, entrySize))
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return jsonenc.Digest(data), nil
 }
+
+// entrySize is the encoding buffer Put and Load start from: a whole
+// entry, checksum and newline included, fits in it even with every
+// integer at its widest.
+const entrySize = 1024
 
 // Store is one on-disk cell result cache rooted at a directory.
 // Load and Put are safe for concurrent use from any number of
@@ -151,15 +212,11 @@ func (s *Store) Load(key string) (m sim.Metrics, ok bool) {
 // cache that cannot be written is just a cache that will miss.
 func (s *Store) Put(key string, m sim.Metrics) error {
 	e := entry{SchemaVersion: SchemaVersion, Key: key, Metrics: m}
-	sum, err := e.checksum()
+	data, at, err := e.appendJSON(make([]byte, 0, entrySize))
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	e.Checksum = sum
-	data, err := json.Marshal(&e)
-	if err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
+	data = jsonenc.SpliceChecksum(data, at)
 	data = append(data, '\n')
 	path := s.EntryPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -216,5 +218,70 @@ func TestLoadRejectsForeignSchemaVersion(t *testing.T) {
 	}
 	if _, ok := s.Load(key); ok {
 		t.Fatal("foreign schema version was accepted")
+	}
+}
+
+// The committed entry was written by the encoding/json encoder the
+// append encoder replaced. It must still hit, and Put of the metrics it
+// holds must write it again byte for byte — a changed byte would turn
+// every warm cache into misses without a word.
+func TestEntryFixtureByteIdentical(t *testing.T) {
+	const fixture = "testdata/entry.json"
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key("C=8", "mcast n=64 adv=random frac=0.5 seed=7", 11)
+	s := openStore(t)
+	path := s.EntryPath(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := s.Load(key)
+	if !ok {
+		t.Fatalf("%s does not load under key %s", fixture, key)
+	}
+	fresh := openStore(t)
+	if err := fresh.Put(key, m); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(fresh.EntryPath(key)); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-put entry differs from %s (%v):\n%s", fixture, err, got)
+	}
+}
+
+// The entry encoder must write exactly what encoding/json writes for
+// the entry struct — the sim.Metrics field names, every float on both
+// sides of the notation switch, integers at their extremes — and refuse
+// a non-finite mean energy as encoding/json does.
+func TestEntryEncodingMatchesEncodingJSON(t *testing.T) {
+	for _, mean := range []float64{
+		0, math.Copysign(0, -1), 5e-324, 1e-7, 1e-6, math.Nextafter(1e-6, 0), 1.0 / 3,
+		1e21, math.Nextafter(1e21, 0), -math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		m := testMetrics()
+		m.MeanNodeEnergy = mean
+		m.EveEnergy = math.MinInt64
+		m.HelperJCounts[1] = math.MaxInt32
+		m.HelperJCounts[2] = math.MinInt32
+		m.Invariants = sim.InvariantCounts{HaltedUninformed: -1, HaltBeforeAllInformed: 2,
+			HelperBeforeAllInformed: 3, HaltBeforeAllHelpers: math.MaxInt}
+		e := entry{SchemaVersion: SchemaVersion, Checksum: "c<&>", Key: "k\x01", Metrics: m}
+		want, werr := json.Marshal(&e)
+		got, _, err := e.appendJSON(nil)
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("mean %v: err %v, encoding/json: %v", mean, err, werr)
+		}
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("mean %v: appendJSON =\n%s\nencoding/json:\n%s", mean, got, want)
+		}
+		if werr != nil {
+			if err := openStore(t).Put(Key("a", "b", 1), m); err == nil {
+				t.Errorf("mean %v: Put accepted a non-finite mean energy", mean)
+			}
+		}
 	}
 }

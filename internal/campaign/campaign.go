@@ -32,14 +32,15 @@
 package campaign
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
+	"multicast/internal/jsonenc"
 	"multicast/internal/runner"
 )
 
@@ -219,45 +220,114 @@ func (s *Summary) Validate() error {
 	return nil
 }
 
+// appendJSON appends s's compact JSON encoding — byte-identical to what
+// encoding/json writes for the Summary struct — and returns the offset
+// at which the checksum string's contents begin, for SpliceChecksum.
+// cached, when non-nil, holds one encoded collector per point across
+// calls (see Checkpointer): a non-empty entry is copied as is, and an
+// empty one is filled with the collector's fresh encoding. Encoding
+// into dst and copying out keeps each entry at its exact size.
+func (s *Summary) appendJSON(dst []byte, cached [][]byte) ([]byte, int, error) {
+	dst = append(dst, `{"schema_version":`...)
+	dst = strconv.AppendInt(dst, int64(s.SchemaVersion), 10)
+	dst = append(dst, `,"tool":`...)
+	dst = jsonenc.AppendString(dst, s.Tool)
+	dst = append(dst, `,"checksum":`...)
+	at := len(dst) + 1
+	dst = jsonenc.AppendString(dst, s.Checksum)
+	if s.Scenario != "" {
+		dst = append(dst, `,"scenario":`...)
+		dst = jsonenc.AppendString(dst, s.Scenario)
+	}
+	dst = append(dst, `,"seed":`...)
+	dst = strconv.AppendUint(dst, s.Seed, 10)
+	dst = append(dst, `,"trials":`...)
+	dst = strconv.AppendInt(dst, int64(s.Trials), 10)
+	dst = append(dst, `,"shard_index":`...)
+	dst = strconv.AppendInt(dst, int64(s.ShardIndex), 10)
+	dst = append(dst, `,"shard_count":`...)
+	dst = strconv.AppendInt(dst, int64(s.ShardCount), 10)
+	dst = append(dst, `,"points":`...)
+	if s.Points == nil {
+		return append(dst, "null}"...), at, nil
+	}
+	dst = append(dst, '[')
+	for i, p := range s.Points {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"label":`...)
+		dst = jsonenc.AppendString(dst, p.Label)
+		dst = append(dst, `,"workload":`...)
+		dst = jsonenc.AppendString(dst, p.Workload)
+		dst = append(dst, `,"collector":`...)
+		if cached != nil && len(cached[i]) > 0 {
+			dst = append(dst, cached[i]...)
+		} else {
+			start := len(dst)
+			var err error
+			if dst, err = p.Collector.AppendJSON(dst); err != nil {
+				return nil, 0, err
+			}
+			if cached != nil {
+				cached[i] = append(cached[i], dst[start:]...)
+			}
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...), at, nil
+}
+
 // checksum returns the hex sha256 content digest of s: the compact JSON
 // encoding with the Checksum field empty. Stable under decode→encode
 // round trips (pinned by the artifact round-trip test), so Read can
-// verify what Write stamped.
-func (s *Summary) checksum() (string, error) {
+// verify what Write stamped. buf is scratch space for the encoding.
+func (s *Summary) checksum(buf []byte) (string, error) {
 	c := *s
 	c.Checksum = ""
-	data, err := json.Marshal(&c)
+	data, _, err := c.appendJSON(buf, nil)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return jsonenc.Digest(data), nil
 }
 
-// Read loads and validates one summary artifact. The schema version is
-// probed before the payload decodes, so a future tool's intact file
-// fails with the version message; undecodable bytes (truncated
-// mid-JSON) and checksum mismatches fail with a wrapped
-// ErrCorruptArtifact.
+// refusal explains why a payload that did not decode (decodeErr) or
+// decoded with a foreign schema version is refused. It probes the
+// schema version on its own, so the messages are those of probing
+// first: bytes that do not even yield a version are corrupt (wrapping
+// the corrupt sentinel), an intact file of another version is refused
+// by name, and anything else is corrupt with the decode error.
+func refusal(data []byte, decodeErr, corrupt error) error {
+	var probe struct {
+		SchemaVersion int `json:"schema_version"`
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return fmt.Errorf("%w: %v", corrupt, err)
+	}
+	if err := checkVersion(probe.SchemaVersion); err != nil {
+		return err
+	}
+	return fmt.Errorf("%w: %v", corrupt, decodeErr)
+}
+
+// Read loads and validates one summary artifact. The payload is decoded
+// once; only a failed decode or a foreign schema version costs a second
+// pass (see refusal), so a future tool's intact file fails with the
+// version message. Undecodable bytes (truncated mid-JSON) and checksum
+// mismatches fail with a wrapped ErrCorruptArtifact.
 func Read(path string) (*Summary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var probe struct {
-		SchemaVersion int `json:"schema_version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("%s: %w: %v", path, ErrCorruptArtifact, err)
-	}
-	if err := checkVersion(probe.SchemaVersion); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
 	var s Summary
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %w: %v", path, ErrCorruptArtifact, err)
+	if err := json.Unmarshal(data, &s); err != nil || s.SchemaVersion != SchemaVersion {
+		return nil, fmt.Errorf("%s: %w", path, refusal(data, err, ErrCorruptArtifact))
 	}
-	want, err := s.checksum()
+	// The decoder copied everything out of data, so its bytes are the
+	// scratch space for the verification encoding.
+	want, err := s.checksum(data[:0])
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -286,16 +356,21 @@ func (s *Summary) WriteWithFault(path string, fp FaultPoint) error {
 	if s.Tool == "" {
 		s.Tool = Tool
 	}
-	sum, err := s.checksum()
+	c := *s
+	c.Checksum = ""
+	compact, at, err := c.appendJSON(nil, nil)
 	if err != nil {
 		return err
 	}
-	s.Checksum = sum
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
+	compact = jsonenc.SpliceChecksum(compact, at)
+	s.Checksum = string(compact[at : at+jsonenc.DigestLen])
+	// Indenting the compact bytes is all json.MarshalIndent does.
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, compact, "", "  "); err != nil {
 		return err
 	}
-	data = append(data, '\n')
+	buf.WriteByte('\n')
+	data := buf.Bytes()
 	if fp != nil {
 		if f := fp(data); f != nil {
 			return f.apply(path)
@@ -324,7 +399,11 @@ type Fault struct {
 }
 
 // FaultPoint inspects the payload about to be written and returns the
-// fault to inject, or nil to let the write proceed untouched.
+// fault to inject, or nil to let the write proceed untouched. The
+// payload is valid only during the call, because a Checkpointer reuses
+// its buffer for the next flush. A returned Fault's Data may slice it
+// (the writer lands the fault before it encodes again), but nothing may
+// keep it.
 type FaultPoint func(data []byte) *Fault
 
 // apply lands the fault on disk and returns its injected error.

@@ -1,14 +1,14 @@
 package campaign
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
+	"strconv"
 
+	"multicast/internal/jsonenc"
 	"multicast/internal/sim"
 )
 
@@ -40,17 +40,45 @@ type checkpointFile struct {
 	Schedule string `json:"schedule,omitempty"`
 }
 
+// appendJSON appends f's compact JSON encoding — byte-identical to what
+// encoding/json writes for the checkpointFile struct — and returns the
+// offset of the checksum string's contents. cached is passed on to the
+// summary encoder (see Summary.appendJSON).
+func (f *checkpointFile) appendJSON(dst []byte, cached [][]byte) ([]byte, int, error) {
+	dst = append(dst, `{"schema_version":`...)
+	dst = strconv.AppendInt(dst, int64(f.SchemaVersion), 10)
+	dst = append(dst, `,"checksum":`...)
+	at := len(dst) + 1
+	dst = jsonenc.AppendString(dst, f.Checksum)
+	dst = append(dst, `,"done_cells":`...)
+	dst = strconv.AppendInt(dst, int64(f.DoneCells), 10)
+	dst = append(dst, `,"summary":`...)
+	if f.Summary == nil {
+		dst = append(dst, "null"...)
+	} else {
+		var err error
+		if dst, _, err = f.Summary.appendJSON(dst, cached); err != nil {
+			return nil, 0, err
+		}
+	}
+	if f.Schedule != "" {
+		dst = append(dst, `,"schedule":`...)
+		dst = jsonenc.AppendString(dst, f.Schedule)
+	}
+	return append(dst, '}'), at, nil
+}
+
 // digest returns f's content checksum (hex sha256 of the compact
-// encoding with the Checksum field empty).
-func (f *checkpointFile) digest() (string, error) {
+// encoding with the Checksum field empty). buf is scratch space for the
+// encoding.
+func (f *checkpointFile) digest(buf []byte) (string, error) {
 	c := *f
 	c.Checksum = ""
-	data, err := json.Marshal(&c)
+	data, _, err := c.appendJSON(buf, nil)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return jsonenc.Digest(data), nil
 }
 
 // Checkpointer folds a shard's grid cells into its summary and persists
@@ -59,12 +87,21 @@ func (f *checkpointFile) digest() (string, error) {
 // lagging behind the truth is harmless: the re-run cells are
 // deterministic and their metrics are folded into a state that does not
 // contain them yet.
+//
+// A flush encodes the sidecar once, into a buffer kept across flushes,
+// and re-encodes only the collectors that changed since the last one:
+// each point's encoded collector is cached, Add (the only mutator of
+// the collectors) marks its point stale, and Resume, which replaces the
+// whole summary, drops every cached encoding. So a per-cell flush costs
+// one point's encoding plus the hash and the write.
 type Checkpointer struct {
-	path  string
-	every int
-	done  int
-	dirty int // cells folded in since the last flush
-	sum   *Summary
+	path   string
+	every  int
+	done   int
+	dirty  int // cells folded in since the last flush
+	sum    *Summary
+	buf    []byte   // the last flush's payload; reused by the next
+	cached [][]byte // per point: its encoded collector, empty when stale
 
 	// Fault, when non-nil, sees every flush's payload bytes and may
 	// inject a storage failure in their place (see FaultPoint) — the
@@ -87,7 +124,8 @@ func NewCheckpointer(path string, template *Summary, every int) *Checkpointer {
 	if every < 1 {
 		every = 1
 	}
-	return &Checkpointer{path: path, every: every, sum: template.CloneEmpty()}
+	sum := template.CloneEmpty()
+	return &Checkpointer{path: path, every: every, sum: sum, cached: make([][]byte, len(sum.Points))}
 }
 
 // Resume loads the checkpoint file if it exists and adopts its state,
@@ -106,20 +144,13 @@ func (c *Checkpointer) Resume() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var probe struct {
-		SchemaVersion int `json:"schema_version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return 0, fmt.Errorf("checkpoint %s: %w: %v", c.path, ErrCorruptCheckpoint, err)
-	}
-	if err := checkVersion(probe.SchemaVersion); err != nil {
-		return 0, fmt.Errorf("checkpoint %s: %w", c.path, err)
-	}
 	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return 0, fmt.Errorf("checkpoint %s: %w: %v", c.path, ErrCorruptCheckpoint, err)
+	if err := json.Unmarshal(data, &f); err != nil || f.SchemaVersion != SchemaVersion {
+		return 0, fmt.Errorf("checkpoint %s: %w", c.path, refusal(data, err, ErrCorruptCheckpoint))
 	}
-	want, err := f.digest()
+	// The decoder copied everything out of data, so its bytes are the
+	// scratch space for the verification encoding.
+	want, err := f.digest(data[:0])
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint %s: %w", c.path, err)
 	}
@@ -146,6 +177,7 @@ func (c *Checkpointer) Resume() (int, error) {
 			c.path, ErrCorruptCheckpoint, f.DoneCells, f.Summary.Cells())
 	}
 	c.sum = f.Summary
+	c.cached = make([][]byte, len(c.sum.Points))
 	c.done = f.DoneCells
 	c.dirty = 0
 	return c.done, nil
@@ -160,6 +192,7 @@ func (c *Checkpointer) Add(point, trial int, m sim.Metrics) error {
 	if err := c.sum.Points[point].Collector.Add(trial, m); err != nil {
 		return err
 	}
+	c.cached[point] = c.cached[point][:0]
 	c.done++
 	c.dirty++
 	if c.dirty >= c.every {
@@ -179,15 +212,12 @@ func (c *Checkpointer) Flush() error {
 		Summary:       c.sum,
 		Schedule:      c.Schedule,
 	}
-	sum, err := f.digest()
+	data, at, err := f.appendJSON(c.buf[:0], c.cached)
 	if err != nil {
 		return err
 	}
-	f.Checksum = sum
-	data, err := json.Marshal(&f)
-	if err != nil {
-		return err
-	}
+	data = jsonenc.SpliceChecksum(data, at)
+	c.buf = data
 	if c.Fault != nil {
 		if flt := c.Fault(data); flt != nil {
 			return flt.apply(c.path)
@@ -205,7 +235,9 @@ func (c *Checkpointer) Flush() error {
 func (c *Checkpointer) Done() int { return c.done }
 
 // Summary returns the shard summary under accumulation. The caller owns
-// writing it as the shard artifact once the shard's slice is complete.
+// writing it as the shard artifact once the shard's slice is complete,
+// but must fold cells in through Add only: Add is what marks a point's
+// cached encoding stale for the next flush.
 func (c *Checkpointer) Summary() *Summary { return c.sum }
 
 // Remove deletes the checkpoint file (after the shard artifact is

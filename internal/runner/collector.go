@@ -3,6 +3,7 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"multicast/internal/sim"
 	"multicast/internal/stats"
@@ -92,7 +93,8 @@ func (c *Collector) EveEnergy() stats.Summary { return c.eveEnergy.Summary() }
 func (c *Collector) AllInformed() stats.Summary { return c.allInformed.Summary() }
 
 // collectorJSON is the Collector wire format (the payload of shard
-// summary files written by cmd/mcast -summary-out).
+// summary files written by cmd/mcast -summary-out), as decoded by
+// UnmarshalJSON; AppendJSON writes the same fields in the same order.
 type collectorJSON struct {
 	Trials       int64               `json:"trials"`
 	Slots        *stats.Accumulator  `json:"slots"`
@@ -104,21 +106,56 @@ type collectorJSON struct {
 	Invariants   sim.InvariantCounts `json:"invariants"`
 }
 
-// MarshalJSON encodes the full collector state for cross-machine merges.
-func (c *Collector) MarshalJSON() ([]byte, error) {
-	return json.Marshal(collectorJSON{
-		Trials:       c.trials,
-		Slots:        c.slots,
-		MaxEnergy:    c.maxEnergy,
-		SourceEnergy: c.sourceEnergy,
-		MeanEnergy:   c.meanEnergy,
-		EveEnergy:    c.eveEnergy,
-		AllInformed:  c.allInformed,
-		Invariants:   c.invariants,
-	})
+// namedAccumulator is one of a Collector's accumulators with its wire
+// name.
+type namedAccumulator struct {
+	name string
+	acc  *stats.Accumulator
 }
 
-// UnmarshalJSON restores a collector marshalled by MarshalJSON.
+// accumulators lists c's accumulators with their wire names, in wire
+// order.
+func (c *Collector) accumulators() [6]namedAccumulator {
+	return [6]namedAccumulator{
+		{"slots", c.slots},
+		{"max_node_energy", c.maxEnergy},
+		{"source_energy", c.sourceEnergy},
+		{"mean_node_energy", c.meanEnergy},
+		{"eve_energy", c.eveEnergy},
+		{"all_informed_slot", c.allInformed},
+	}
+}
+
+// AppendJSON appends the full collector state as compact JSON for
+// cross-machine merges — exactly the bytes encoding/json writes for
+// collectorJSON, which artifact checksums depend on. A nil collector
+// encodes as null.
+func (c *Collector) AppendJSON(dst []byte) ([]byte, error) {
+	if c == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, `{"trials":`...)
+	dst = strconv.AppendInt(dst, c.trials, 10)
+	var err error
+	for _, a := range c.accumulators() {
+		dst = append(dst, `,"`...)
+		dst = append(dst, a.name...)
+		dst = append(dst, `":`...)
+		if dst, err = a.acc.AppendJSON(dst); err != nil {
+			return nil, err
+		}
+	}
+	dst = append(dst, `,"invariants":`...)
+	dst = c.invariants.AppendJSON(dst)
+	return append(dst, '}'), nil
+}
+
+// MarshalJSON encodes the full collector state (see AppendJSON).
+func (c *Collector) MarshalJSON() ([]byte, error) { return c.AppendJSON(nil) }
+
+// UnmarshalJSON restores a collector marshalled by MarshalJSON. Every
+// accumulator must account for every trial: each trial adds one sample
+// to each, counted or, for a non-finite mean energy, dropped.
 func (c *Collector) UnmarshalJSON(data []byte) error {
 	j := collectorJSON{
 		Slots:        stats.NewAccumulator(),
@@ -131,20 +168,7 @@ func (c *Collector) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	// An explicit JSON null overwrites the pre-seeded accumulators with
-	// nil; reject that as corrupt rather than crashing later.
-	for _, a := range []*stats.Accumulator{
-		j.Slots, j.MaxEnergy, j.SourceEnergy, j.MeanEnergy, j.EveEnergy, j.AllInformed,
-	} {
-		if a == nil {
-			return fmt.Errorf("runner: collector state is missing an accumulator")
-		}
-	}
-	if j.Trials < 0 || j.Trials != j.Slots.Count() {
-		return fmt.Errorf("runner: inconsistent collector state (trials=%d, slots count=%d)",
-			j.Trials, j.Slots.Count())
-	}
-	*c = Collector{
+	out := Collector{
 		trials:       j.Trials,
 		slots:        j.Slots,
 		maxEnergy:    j.MaxEnergy,
@@ -154,5 +178,17 @@ func (c *Collector) UnmarshalJSON(data []byte) error {
 		allInformed:  j.AllInformed,
 		invariants:   j.Invariants,
 	}
+	for _, a := range out.accumulators() {
+		// An explicit JSON null overwrites the pre-seeded accumulator
+		// with nil; reject that as corrupt rather than crashing later.
+		if a.acc == nil {
+			return fmt.Errorf("runner: collector state is missing an accumulator")
+		}
+		if n := a.acc.Count() + a.acc.Dropped(); n != j.Trials {
+			return fmt.Errorf("runner: inconsistent collector state (trials=%d, %s count=%d dropped=%d)",
+				j.Trials, a.name, a.acc.Count(), a.acc.Dropped())
+		}
+	}
+	*c = out
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -267,14 +268,38 @@ func TestCollectorJSONRejectsInconsistent(t *testing.T) {
 	if err := c.Add(0, sim.Metrics{Slots: 10, MaxNodeEnergy: 3, MeanNodeEnergy: 1.5}); err != nil {
 		t.Fatal(err)
 	}
+	// A dropped (NaN) mean energy keeps count + dropped == trials.
+	if err := c.Add(1, sim.Metrics{Slots: 11, MeanNodeEnergy: math.NaN()}); err != nil {
+		t.Fatal(err)
+	}
 	data, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := strings.Replace(string(data), `"trials":1`, `"trials":5`, 1)
 	var d Collector
-	if err := json.Unmarshal([]byte(corrupt), &d); err == nil {
-		t.Error("accepted collector with trials ≠ accumulator count")
+	if err := json.Unmarshal(data, &d); err != nil || d.Trials() != 2 {
+		t.Fatalf("consistent state with a dropped sample refused: %v", err)
+	}
+	mean := `"mean_node_energy":{"count":1,"dropped":1,`
+	if !strings.Contains(string(data), mean) {
+		t.Fatalf("encoding lacks %s: %s", mean, data)
+	}
+	for _, corrupt := range []struct{ old, new string }{
+		{`"trials":2`, `"trials":5`},                                         // every accumulator disagrees
+		{`"trials":2`, `"trials":-1`},                                        // negative
+		{mean, `"mean_node_energy":{"count":1,`},                             // a trial neither counted nor dropped
+		{mean, `"mean_node_energy":{"count":1,"dropped":2,`},                 // a trial dropped twice
+		{`"eve_energy":{"count":2,`, `"eve_energy":{"count":2,"dropped":1,`}, // one accumulator over
+		{`"slots":{"count":2,`, `"slots":{"count":3,`},                       // slots over
+	} {
+		bad := strings.Replace(string(data), corrupt.old, corrupt.new, 1)
+		if bad == string(data) {
+			t.Fatalf("substitution %q did not apply", corrupt.old)
+		}
+		var d Collector
+		if err := json.Unmarshal([]byte(bad), &d); err == nil {
+			t.Errorf("accepted collector state %s", bad)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"multicast/internal/adversary"
@@ -221,6 +222,21 @@ func (c *InvariantCounts) Add(other InvariantCounts) {
 	c.HaltBeforeAllInformed += other.HaltBeforeAllInformed
 	c.HelperBeforeAllInformed += other.HelperBeforeAllInformed
 	c.HaltBeforeAllHelpers += other.HaltBeforeAllHelpers
+}
+
+// AppendJSON appends c as compact JSON under its Go field names —
+// exactly what encoding/json writes for the struct, which the artifact
+// and cache-entry checksums depend on.
+func (c InvariantCounts) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"HaltedUninformed":`...)
+	dst = strconv.AppendInt(dst, int64(c.HaltedUninformed), 10)
+	dst = append(dst, `,"HaltBeforeAllInformed":`...)
+	dst = strconv.AppendInt(dst, int64(c.HaltBeforeAllInformed), 10)
+	dst = append(dst, `,"HelperBeforeAllInformed":`...)
+	dst = strconv.AppendInt(dst, int64(c.HelperBeforeAllInformed), 10)
+	dst = append(dst, `,"HaltBeforeAllHelpers":`...)
+	dst = strconv.AppendInt(dst, int64(c.HaltBeforeAllHelpers), 10)
+	return append(dst, '}')
 }
 
 // Any reports whether any invariant was violated.

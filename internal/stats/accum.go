@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+
+	"multicast/internal/jsonenc"
 )
 
 // DefaultSampleCap is the number of raw samples an Accumulator retains.
@@ -167,9 +170,10 @@ func (a *Accumulator) Summary() Summary {
 	return s
 }
 
-// accumJSON is the Accumulator wire format. Floats survive the round
-// trip exactly: encoding/json emits the shortest representation that
-// parses back to the identical float64.
+// accumJSON is the Accumulator wire format, as decoded by
+// UnmarshalJSON; AppendJSON writes the same fields in the same order.
+// Floats survive the round trip exactly: the encoding is the shortest
+// representation that parses back to the identical float64.
 type accumJSON struct {
 	Count   int64     `json:"count"`
 	Dropped int64     `json:"dropped,omitempty"`
@@ -181,19 +185,57 @@ type accumJSON struct {
 	Samples []float64 `json:"samples"`
 }
 
-// MarshalJSON encodes the full accumulator state, so shards summarized
-// on separate machines can be merged from their JSON artifacts.
-func (a *Accumulator) MarshalJSON() ([]byte, error) {
-	j := accumJSON{
-		Count: a.count, Dropped: a.dropped,
-		Mean: a.mean, M2: a.m2,
-		Cap: a.cap, Samples: a.samples,
+// AppendJSON appends the full accumulator state as compact JSON, so
+// shards summarized on separate machines can be merged from their
+// artifacts. The bytes are exactly what encoding/json writes for
+// accumJSON (artifact checksums depend on it): retained samples encode
+// as null when none were ever kept, min and max as 0 at count 0, where
+// they are meaningless. A nil accumulator encodes as null. Non-finite
+// state has no JSON form and is refused as encoding/json refuses it.
+func (a *Accumulator) AppendJSON(dst []byte) ([]byte, error) {
+	if a == nil {
+		return append(dst, "null"...), nil
 	}
-	if a.count > 0 { // min/max are meaningless (and unset) at count 0
-		j.Min, j.Max = a.min, a.max
+	dst = append(dst, `{"count":`...)
+	dst = strconv.AppendInt(dst, a.count, 10)
+	if a.dropped != 0 {
+		dst = append(dst, `,"dropped":`...)
+		dst = strconv.AppendInt(dst, a.dropped, 10)
 	}
-	return json.Marshal(j)
+	var lo, hi float64
+	if a.count > 0 {
+		lo, hi = a.min, a.max
+	}
+	var err error
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{{`,"mean":`, a.mean}, {`,"m2":`, a.m2}, {`,"min":`, lo}, {`,"max":`, hi}} {
+		dst = append(dst, f.key...)
+		if dst, err = jsonenc.AppendFloat(dst, f.v); err != nil {
+			return nil, err
+		}
+	}
+	dst = append(dst, `,"cap":`...)
+	dst = strconv.AppendInt(dst, int64(a.cap), 10)
+	dst = append(dst, `,"samples":`...)
+	if a.samples == nil {
+		return append(dst, "null}"...), nil
+	}
+	dst = append(dst, '[')
+	for i, x := range a.samples {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if dst, err = jsonenc.AppendFloat(dst, x); err != nil {
+			return nil, err
+		}
+	}
+	return append(dst, "]}"...), nil
 }
+
+// MarshalJSON encodes the full accumulator state (see AppendJSON).
+func (a *Accumulator) MarshalJSON() ([]byte, error) { return a.AppendJSON(nil) }
 
 // UnmarshalJSON restores an accumulator marshalled by MarshalJSON.
 func (a *Accumulator) UnmarshalJSON(data []byte) error {
@@ -201,9 +243,9 @@ func (a *Accumulator) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	if j.Count < 0 || j.Cap < 1 || int64(len(j.Samples)) > j.Count || len(j.Samples) > j.Cap {
-		return fmt.Errorf("stats: invalid accumulator state (count=%d cap=%d samples=%d)",
-			j.Count, j.Cap, len(j.Samples))
+	if j.Count < 0 || j.Dropped < 0 || j.Cap < 1 || int64(len(j.Samples)) > j.Count || len(j.Samples) > j.Cap {
+		return fmt.Errorf("stats: invalid accumulator state (count=%d dropped=%d cap=%d samples=%d)",
+			j.Count, j.Dropped, j.Cap, len(j.Samples))
 	}
 	for _, x := range j.Samples {
 		if math.IsNaN(x) || math.IsInf(x, 0) {

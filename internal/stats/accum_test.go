@@ -172,11 +172,59 @@ func TestAccumulatorJSONRejectsCorrupt(t *testing.T) {
 		`{"count":0,"cap":0,"samples":[]}`,
 		`{"count":1,"cap":4,"samples":[1,2]}`,
 		`{"count":8,"cap":2,"samples":[1,2,3]}`,
+		`{"count":1,"dropped":-1,"cap":4,"samples":[1]}`,
 	} {
 		var a Accumulator
 		if err := json.Unmarshal([]byte(bad), &a); err == nil {
 			t.Errorf("accepted corrupt state %s", bad)
 		}
+	}
+}
+
+// Non-finite state has no JSON form: wherever it sits, AppendJSON and
+// MarshalJSON must refuse it exactly as encoding/json refuses the wire
+// struct, and finite state must encode to the same bytes.
+func TestAccumulatorAppendJSONMatchesEncodingJSON(t *testing.T) {
+	base := func() *Accumulator {
+		return &Accumulator{count: 2, dropped: 1, mean: 1.5, m2: 0.5, min: 1, max: 2, samples: []float64{1, 2}, cap: 4}
+	}
+	wire := func(a *Accumulator) accumJSON {
+		return accumJSON{Count: a.count, Dropped: a.dropped, Mean: a.mean, M2: a.m2,
+			Min: a.min, Max: a.max, Cap: a.cap, Samples: a.samples}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, set := range map[string]func(*Accumulator){
+			"mean":   func(a *Accumulator) { a.mean = bad },
+			"m2":     func(a *Accumulator) { a.m2 = bad },
+			"min":    func(a *Accumulator) { a.min = bad },
+			"max":    func(a *Accumulator) { a.max = bad },
+			"sample": func(a *Accumulator) { a.samples[1] = bad },
+		} {
+			a := base()
+			set(a)
+			_, want := json.Marshal(wire(a))
+			if want == nil {
+				t.Fatalf("%s=%v: encoding/json accepted it", field, bad)
+			}
+			if _, err := a.AppendJSON(nil); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s=%v: AppendJSON err %v, encoding/json: %v", field, bad, err, want)
+			}
+			if _, err := json.Marshal(a); err == nil {
+				t.Errorf("%s=%v: MarshalJSON accepted it", field, bad)
+			}
+		}
+	}
+	a := base()
+	want, err := json.Marshal(wire(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := a.AppendJSON([]byte("prefix")); err != nil || string(got) != "prefix"+string(want) {
+		t.Errorf("AppendJSON = %s, %v; want prefix%s", got, err, want)
+	}
+	var nilAcc *Accumulator
+	if got, err := nilAcc.AppendJSON(nil); err != nil || string(got) != "null" {
+		t.Errorf("nil AppendJSON = %s, %v; want null", got, err)
 	}
 }
 
