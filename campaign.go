@@ -153,10 +153,6 @@ type CampaignPlan struct {
 	// RunScenarioCampaign (identical results, like Workers). RunCampaign
 	// ignores it — Config.Engine governs there.
 	Engine Engine
-	// NodeWorkers partitions each slot's node stepping inside the
-	// expanded points of RunScenarioCampaign (identical results, like
-	// Engine). RunCampaign ignores it — Config.NodeWorkers governs there.
-	NodeWorkers int
 	// CacheDir, if non-empty, roots a content-addressed cell result
 	// cache there (created if needed): every grid cell is looked up by
 	// the sha256 of its identity (point workload, label, cell seed,
@@ -239,7 +235,6 @@ func RunScenarioCampaign(ctx context.Context, scen Scenario, opts ScenarioOption
 	sims := make([]sim.Config, len(points))
 	for i, p := range points {
 		p.Config.Engine = plan.Engine
-		p.Config.NodeWorkers = plan.NodeWorkers
 		sc, err := p.Config.build()
 		if err != nil {
 			return nil, err

@@ -27,7 +27,6 @@ type driveFlags struct {
 	retries      int
 	ckptEvery    int
 	engine       multicast.Engine
-	nodeWorkers  int
 	cacheDir     string
 	crashAfter   int
 	sumOut       string
@@ -61,7 +60,6 @@ func (f driveFlags) plan(trials int, progress func(multicast.CampaignEvent)) mul
 		Resume:          f.resume,
 		CheckpointEvery: f.ckptEvery,
 		Engine:          f.engine,
-		NodeWorkers:     f.nodeWorkers,
 		CacheDir:        f.cacheDir,
 		Progress:        progress,
 		Chaos:           f.chaos,

@@ -99,12 +99,11 @@ func main() {
 		trace       = flag.Bool("trace", false, "print a per-1000-slot trace of the first trial")
 		curve       = flag.Bool("curve", false, "print sparkline charts of the run (informed/halted/jammed/traffic)")
 		alpha       = flag.Float64("alpha", 0, "override MultiCastAdv α (0 = preset)")
-		engName     = flag.String("engine", "auto", "slot-loop engine: auto|dense|sparse|event (identical results; dense is the reference loop)")
+		engName     = flag.String("engine", "auto", "slot-loop engine: auto|dense|event (identical results; auto runs event, dense is the reference loop)")
 		shardStr    = flag.String("shard", "", "run shard i/k of the trial batch or sweep grid (e.g. 0/3); implies summary output")
 		sumOut      = flag.String("summary-out", "", "write the mergeable summary JSON to this path")
 		merge       = flag.Bool("merge", false, "merge the shard summary files given as arguments and print the combined summary")
 		workers     = flag.Int("workers", 0, "trial worker pool size (0 = GOMAXPROCS); does not affect results")
-		nodeWorkers = flag.Int("node-workers", 1, "goroutines stepping nodes inside each slot (1 = serial); does not affect results")
 		scenName    = flag.String("scenario", "", "run a registry scenario sweep (-trials per point; overrides -alg/-adv; see -list-scenarios)")
 		listScen    = flag.Bool("list-scenarios", false, "list the scenario registry and exit")
 		quick       = flag.Bool("quick", false, "with -scenario: expand the trimmed (smoke-test) point list")
@@ -215,7 +214,7 @@ func main() {
 		// be silently dropped is refused instead.
 		scenFlags := map[string]bool{
 			"scenario": true, "quick": true, "n": true, "budget": true, "seed": true,
-			"trials": true, "engine": true, "workers": true, "node-workers": true,
+			"trials": true, "engine": true, "workers": true,
 			"shard": true, "summary-out": true,
 			"timeout": true, "drive": true, "drive-exec": true, "drive-schedule": true,
 			"progress-json": true, "resume": true,
@@ -245,13 +244,12 @@ func main() {
 				schedule: driveSchedule, progressJSON: *progJSON,
 				dir: campaignDir(*campDir, *sumOut), workers: *workers,
 				retries: *retries, ckptEvery: *ckptEvery, engine: engine,
-				nodeWorkers: *nodeWorkers, cacheDir: *cacheDir,
-				crashAfter: *crashAfter, sumOut: *sumOut,
+				cacheDir: *cacheDir, crashAfter: *crashAfter, sumOut: *sumOut,
 				chaos: chaosInj, chaosLog: *chaosLog,
 			})))
 			return
 		}
-		fatal(deadline(runScenario(ctx, *scenName, opts, engine, *nodeWorkers, *trials, shard, *workers, *sumOut)))
+		fatal(deadline(runScenario(ctx, *scenName, opts, engine, *trials, shard, *workers, *sumOut)))
 		return
 	}
 
@@ -300,16 +298,15 @@ func main() {
 	}
 
 	cfg := multicast.Config{
-		N:           *n,
-		Algorithm:   alg,
-		Params:      params,
-		Channels:    *channels,
-		Adversary:   adv,
-		Budget:      *budget,
-		Seed:        *seed,
-		MaxSlots:    *maxSlots,
-		Engine:      engine,
-		NodeWorkers: *nodeWorkers,
+		N:         *n,
+		Algorithm: alg,
+		Params:    params,
+		Channels:  *channels,
+		Adversary: adv,
+		Budget:    *budget,
+		Seed:      *seed,
+		MaxSlots:  *maxSlots,
+		Engine:    engine,
 	}
 
 	if *trace {
@@ -340,8 +337,7 @@ func main() {
 			schedule: driveSchedule, progressJSON: *progJSON,
 			dir: campaignDir(*campDir, *sumOut), workers: *workers,
 			retries: *retries, ckptEvery: *ckptEvery, engine: engine,
-			nodeWorkers: *nodeWorkers, cacheDir: *cacheDir,
-			crashAfter: *crashAfter, sumOut: *sumOut,
+			cacheDir: *cacheDir, crashAfter: *crashAfter, sumOut: *sumOut,
 			chaos: chaosInj, chaosLog: *chaosLog,
 		})))
 		return

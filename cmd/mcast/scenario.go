@@ -51,7 +51,7 @@ func sweepSummary(scen multicast.Scenario, opts multicast.ScenarioOptions,
 // runScenario executes (one shard of) a scenario sweep and writes the
 // mergeable per-point summary artifact.
 func runScenario(ctx context.Context, name string, opts multicast.ScenarioOptions, engine multicast.Engine,
-	nodeWorkers, trials int, shard multicast.Shard, workers int, sumOut string) error {
+	trials int, shard multicast.Shard, workers int, sumOut string) error {
 	scen, err := lookupScenario(name)
 	if err != nil {
 		return err
@@ -64,7 +64,6 @@ func runScenario(ctx context.Context, name string, opts multicast.ScenarioOption
 	cols := make([]*runner.Collector, len(points))
 	for i, p := range points {
 		p.Config.Engine = engine
-		p.Config.NodeWorkers = nodeWorkers
 		cfgs[i] = p.Config
 		cols[i] = runner.NewCollector()
 	}

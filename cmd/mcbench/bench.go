@@ -13,7 +13,7 @@ import (
 
 // benchScenario is the fixed engine benchmark: MultiCastCore with the
 // paper's own listen probability 1/64 on 128 nodes — a low-density
-// workload in which ~4 of 128 nodes act per slot, the regime the sparse
+// workload in which ~4 of 128 nodes act per slot, the regime the event
 // engine exists for — under a half-spectrum block jammer. Changing this
 // scenario breaks the perf trajectory across PRs; add new scenarios
 // instead of editing this one.
@@ -30,37 +30,18 @@ func benchScenario() multicast.Config {
 	}
 }
 
-// benchParallelScenario is the intra-trial parallelism benchmark: the
-// same MultiCastCore workload scaled to 1024 nodes on the dense engine,
-// where every slot steps the whole population — the per-slot work the
-// NodeWorkers fan-out exists to split. (The sparse low-density scenario
-// above steps ~4 nodes per slot; partitioning that is all overhead.)
-// Like benchScenario, this shape is frozen: the parallel trajectory
-// across PRs depends on it.
-func benchParallelScenario() multicast.Config {
-	cfg := benchScenario()
-	cfg.N = 1024
-	cfg.Budget = 100_000
-	cfg.Engine = multicast.EngineDense
-	return cfg
-}
-
 // benchTrials is sized so each engine measures over ≥ 1s of work; short
 // windows made the reported ratio noisy. Quick mode (-quick) trims it to
 // a smoke test: CI uses it to prove the benchmark plumbing still runs
-// and the engines still agree, not to measure a trustworthy ratio. The
-// parallel scenario is ~40× more work per trial, so it runs fewer.
+// and the engines still agree, not to measure a trustworthy ratio.
 const (
-	benchTrials              = 25
-	benchTrialsQuick         = 3
-	benchParallelTrials      = 3
-	benchParallelTrialsQuick = 1
+	benchTrials      = 25
+	benchTrialsQuick = 3
 )
 
 // engineResult is one engine's measurement.
 type engineResult struct {
 	Engine        string  `json:"engine"`
-	Workers       int     `json:"node_workers,omitempty"`
 	Slots         int64   `json:"slots"`
 	Seconds       float64 `json:"seconds"`
 	SlotsPerSec   float64 `json:"slots_per_sec"`
@@ -81,26 +62,17 @@ type cacheBenchResult struct {
 	ReplaySpeedup float64 `json:"replay_speedup"`
 }
 
-// benchReport is the BENCH_sim.json schema. The parallel block measures
-// the large-n dense scenario serially and with the NodeWorkers fan-out;
-// its speedup is only comparable between machines with the same
-// GOMAXPROCS (the check mode skips it otherwise).
+// benchReport is the BENCH_sim.json schema.
 type benchReport struct {
-	Benchmark        string            `json:"benchmark"`
-	Generated        string            `json:"generated"`
-	GoVersion        string            `json:"go_version"`
-	GOMAXPROCS       int               `json:"gomaxprocs"`
-	Scenario         map[string]any    `json:"scenario"`
-	Dense            engineResult      `json:"dense"`
-	Sparse           engineResult      `json:"sparse"`
-	Event            *engineResult     `json:"event,omitempty"`
-	Speedup          float64           `json:"speedup"`
-	EventSpeedup     float64           `json:"event_speedup,omitempty"`
-	ParallelWorkers  int               `json:"parallel_workers,omitempty"`
-	ParallelBaseline *engineResult     `json:"parallel_baseline,omitempty"`
-	Parallel         *engineResult     `json:"parallel,omitempty"`
-	ParallelSpeedup  float64           `json:"parallel_speedup,omitempty"`
-	Cache            *cacheBenchResult `json:"cache,omitempty"`
+	Benchmark    string            `json:"benchmark"`
+	Generated    string            `json:"generated"`
+	GoVersion    string            `json:"go_version"`
+	GOMAXPROCS   int               `json:"gomaxprocs"`
+	Scenario     map[string]any    `json:"scenario"`
+	Dense        engineResult      `json:"dense"`
+	Event        engineResult      `json:"event"`
+	EventSpeedup float64           `json:"event_speedup"`
+	Cache        *cacheBenchResult `json:"cache,omitempty"`
 }
 
 // runEngine executes the scenario's trials serially on one engine so the
@@ -113,14 +85,10 @@ type benchReport struct {
 // mallocs, not bytes), so the reported allocs/slot includes the pool's
 // amortised per-trial reset cost; the steady-state alloc-free pin is
 // isolated by internal/sim's TestSlotLoopAllocFree.
-func runEngine(cfg multicast.Config, engine multicast.Engine, nodeWorkers int, trials uint64) (engineResult, error) {
+func runEngine(cfg multicast.Config, engine multicast.Engine, trials uint64) (engineResult, error) {
 	cfg.Engine = engine
-	cfg.NodeWorkers = nodeWorkers
 	cfg.Seed = 1
 	res := engineResult{Engine: engine.String()}
-	if nodeWorkers > 1 {
-		res.Workers = nodeWorkers
-	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs
@@ -145,18 +113,6 @@ func runEngine(cfg multicast.Config, engine multicast.Engine, nodeWorkers int, t
 	res.NsPerSlot = res.Seconds * 1e9 / float64(res.Slots)
 	res.AllocsPerSlot = float64(ms.Mallocs-mallocs) / float64(res.Slots)
 	return res, nil
-}
-
-// resolveParallelWorkers turns the -parallel flag into the fan-out width
-// of the parallel benchmark entry: 0 means GOMAXPROCS, floored at 2 so
-// the entry always exercises the partition machinery (on a single-core
-// box the honest result is then a speedup ≤ 1 — the goroutines time-slice
-// one core).
-func resolveParallelWorkers(parallel int) int {
-	if parallel > 0 {
-		return parallel
-	}
-	return max(2, runtime.GOMAXPROCS(0))
 }
 
 // runCacheBench times the fixed scenario as a driven campaign twice
@@ -211,53 +167,32 @@ func runCacheBench(trials uint64) (*cacheBenchResult, error) {
 	}, nil
 }
 
-// runEngineBench measures dense vs sparse vs event slots/sec on the
-// fixed scenario, plus the NodeWorkers fan-out on the large-n dense
-// scenario, and writes the JSON report to path. All three engines must
-// produce identical slot and Eve-energy totals — the benchmark doubles
-// as an end-to-end equivalence check on the exact workload it times.
-func runEngineBench(path string, quick bool, parallel int) error {
+// runEngineBench measures dense vs event slots/sec on the fixed
+// scenario and writes the JSON report to path. Both engines must produce
+// identical slot and Eve-energy totals — the benchmark doubles as an
+// end-to-end equivalence check on the exact workload it times.
+func runEngineBench(path string, quick bool) error {
 	trials := uint64(benchTrials)
-	ptrials := uint64(benchParallelTrials)
 	if quick {
 		trials = benchTrialsQuick
-		ptrials = benchParallelTrialsQuick
 	}
 	scenario := benchScenario()
 	// Warm-up pass so one-time costs (page faults, lazy allocations) hit
 	// neither engine's measurement.
-	if _, err := runEngine(scenario, multicast.EngineDense, 1, trials); err != nil {
+	if _, err := runEngine(scenario, multicast.EngineDense, trials); err != nil {
 		return err
 	}
-	dense, err := runEngine(scenario, multicast.EngineDense, 1, trials)
+	dense, err := runEngine(scenario, multicast.EngineDense, trials)
 	if err != nil {
 		return err
 	}
-	sparse, err := runEngine(scenario, multicast.EngineSparse, 1, trials)
+	event, err := runEngine(scenario, multicast.EngineEvent, trials)
 	if err != nil {
 		return err
 	}
-	event, err := runEngine(scenario, multicast.EngineEvent, 1, trials)
-	if err != nil {
-		return err
-	}
-	if dense.Slots != sparse.Slots || dense.EveCost != sparse.EveCost ||
-		dense.Slots != event.Slots || dense.EveCost != event.EveCost {
-		return fmt.Errorf("engine divergence: dense ran %d slots (Eve %d), sparse %d (Eve %d), event %d (Eve %d)",
-			dense.Slots, dense.EveCost, sparse.Slots, sparse.EveCost, event.Slots, event.EveCost)
-	}
-	workers := resolveParallelWorkers(parallel)
-	pbase, err := runEngine(benchParallelScenario(), multicast.EngineDense, 1, ptrials)
-	if err != nil {
-		return err
-	}
-	ppar, err := runEngine(benchParallelScenario(), multicast.EngineDense, workers, ptrials)
-	if err != nil {
-		return err
-	}
-	if pbase.Slots != ppar.Slots || pbase.EveCost != ppar.EveCost {
-		return fmt.Errorf("NodeWorkers divergence: serial ran %d slots (Eve %d), %d workers %d (Eve %d)",
-			pbase.Slots, pbase.EveCost, workers, ppar.Slots, ppar.EveCost)
+	if dense.Slots != event.Slots || dense.EveCost != event.EveCost {
+		return fmt.Errorf("engine divergence: dense ran %d slots (Eve %d), event %d (Eve %d)",
+			dense.Slots, dense.EveCost, event.Slots, event.EveCost)
 	}
 	cacheRes, err := runCacheBench(trials)
 	if err != nil {
@@ -275,19 +210,11 @@ func runEngineBench(path string, quick bool, parallel int) error {
 			"budget":    scenario.Budget,
 			"adversary": scenario.Adversary.Name(),
 			"trials":    trials,
-			"parallelN": benchParallelScenario().N,
-			"parallelT": ptrials,
 		},
-		Dense:            dense,
-		Sparse:           sparse,
-		Event:            &event,
-		Speedup:          sparse.SlotsPerSec / dense.SlotsPerSec,
-		EventSpeedup:     event.SlotsPerSec / dense.SlotsPerSec,
-		ParallelWorkers:  workers,
-		ParallelBaseline: &pbase,
-		Parallel:         &ppar,
-		ParallelSpeedup:  ppar.SlotsPerSec / pbase.SlotsPerSec,
-		Cache:            cacheRes,
+		Dense:        dense,
+		Event:        event,
+		EventSpeedup: event.SlotsPerSec / dense.SlotsPerSec,
+		Cache:        cacheRes,
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -297,11 +224,8 @@ func runEngineBench(path string, quick bool, parallel int) error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("engine benchmark: dense %.0f slots/s, sparse %.0f slots/s (%.2fx), event %.0f slots/s (%.2fx) → %s\n",
-		dense.SlotsPerSec, sparse.SlotsPerSec, report.Speedup,
-		event.SlotsPerSec, report.EventSpeedup, path)
-	fmt.Printf("parallel (n=%d dense, %d workers): serial %.0f slots/s, parallel %.0f slots/s (%.2fx)\n",
-		benchParallelScenario().N, workers, pbase.SlotsPerSec, ppar.SlotsPerSec, report.ParallelSpeedup)
+	fmt.Printf("engine benchmark: dense %.0f slots/s, event %.0f slots/s (%.2fx) → %s\n",
+		dense.SlotsPerSec, event.SlotsPerSec, report.EventSpeedup, path)
 	fmt.Printf("cache (%d cells): cold %.3fs, warm replay %.3fs (%.1fx)\n",
 		cacheRes.Cells, cacheRes.ColdSeconds, cacheRes.WarmSeconds, cacheRes.ReplaySpeedup)
 	return nil

@@ -4,31 +4,26 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 
 	"multicast"
 )
 
 // runEngineCheck is the CI perf-regression gate: it re-measures the
-// frozen engine scenarios and compares them against a committed
+// frozen engine scenario and compares it against a committed
 // BENCH_sim.json, failing when head has regressed past the tolerance.
 //
 // The checks are chosen to be machine-portable — CI runners and dev
 // boxes differ, so raw slots/s against a committed absolute would gate
 // on hardware, not code:
 //
-//   - speedup ratios (sparse slots/s ÷ dense, event slots/s ÷ dense)
-//     must stay within tolerance of the committed ratios — all engines
-//     run on the same box in the same process, so the ratio cancels the
-//     hardware out and catches fast-path regressions;
+//   - the speedup ratio (event slots/s ÷ dense) must stay within
+//     tolerance of the committed ratio — both engines run on the same
+//     box in the same process, so the ratio cancels the hardware out
+//     and catches fast-path regressions;
 //   - allocs/slot per engine must not grow by more than half an
 //     allocation — allocation counts are deterministic per workload,
 //     hardware-independent, and the first thing accidental per-slot
-//     garbage moves;
-//   - the parallel (NodeWorkers) speedup ratio is compared the same
-//     way, but only when this machine's GOMAXPROCS matches the
-//     committed report's — a fan-out measured on k cores says nothing
-//     about one measured on a different k.
+//     garbage moves.
 //
 // A check that cannot run prints an explicit `SKIP (reason)` line and
 // is counted in the exit summary, so a gate that quietly measured
@@ -50,26 +45,24 @@ func runEngineCheck(path string, quick bool, tolerance float64) error {
 	if err := json.Unmarshal(data, &committed); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if committed.Dense.SlotsPerSec <= 0 || committed.Sparse.SlotsPerSec <= 0 {
-		return fmt.Errorf("%s: not an engine benchmark report (missing dense/sparse throughput)", path)
+	if committed.Dense.SlotsPerSec <= 0 || committed.Event.SlotsPerSec <= 0 || committed.EventSpeedup <= 0 {
+		return fmt.Errorf("%s: not an engine benchmark report (missing dense/event throughput)", path)
 	}
 
 	trials := uint64(benchTrials)
-	ptrials := uint64(benchParallelTrials)
 	if quick {
 		trials = benchTrialsQuick
-		ptrials = benchParallelTrialsQuick
 	}
 	// Warm-up, as in the generator, so lazy one-time costs don't skew the
 	// dense leg of the ratio.
-	if _, err := runEngine(benchScenario(), multicast.EngineDense, 1, trials); err != nil {
+	if _, err := runEngine(benchScenario(), multicast.EngineDense, trials); err != nil {
 		return err
 	}
-	dense, err := runEngine(benchScenario(), multicast.EngineDense, 1, trials)
+	dense, err := runEngine(benchScenario(), multicast.EngineDense, trials)
 	if err != nil {
 		return err
 	}
-	sparse, err := runEngine(benchScenario(), multicast.EngineSparse, 1, trials)
+	event, err := runEngine(benchScenario(), multicast.EngineEvent, trials)
 	if err != nil {
 		return err
 	}
@@ -85,99 +78,32 @@ func runEngineCheck(path string, quick bool, tolerance float64) error {
 		fmt.Printf("%-22s measured %.3f  committed %.3f  floor %.3f  %s\n",
 			name, got, committedV, floor, status)
 	}
-	// skip logs an explicitly skipped check; skips are counted into the
-	// exit summary so a gate that silently measured nothing is visible.
-	skip := func(name, reason string) {
-		skipped++
-		fmt.Printf("%-22s SKIP (%s)\n", name, reason)
-	}
 
-	speedup := sparse.SlotsPerSec / dense.SlotsPerSec
-	check("speedup sparse/dense", speedup, committed.Speedup,
-		tolerance*committed.Speedup, speedup >= tolerance*committed.Speedup)
+	speedup := event.SlotsPerSec / dense.SlotsPerSec
+	check("speedup event/dense", speedup, committed.EventSpeedup,
+		tolerance*committed.EventSpeedup, speedup >= tolerance*committed.EventSpeedup)
 
-	var event engineResult
-	if committed.Event == nil || committed.EventSpeedup <= 0 {
-		skip("speedup event/dense", "committed report predates the event engine")
-	} else {
-		event, err = runEngine(benchScenario(), multicast.EngineEvent, 1, trials)
-		if err != nil {
-			return err
-		}
-		check("speedup event/dense", event.SlotsPerSec/dense.SlotsPerSec, committed.EventSpeedup,
-			tolerance*committed.EventSpeedup, event.SlotsPerSec/dense.SlotsPerSec >= tolerance*committed.EventSpeedup)
-	}
-
-	allocChecks := []struct {
+	for _, c := range []struct {
 		name      string
 		got, base float64
 	}{
 		{"allocs/slot dense", dense.AllocsPerSlot, committed.Dense.AllocsPerSlot},
-		{"allocs/slot sparse", sparse.AllocsPerSlot, committed.Sparse.AllocsPerSlot},
-	}
-	if committed.Event != nil && event.TrialsPassed > 0 {
-		allocChecks = append(allocChecks, struct {
-			name      string
-			got, base float64
-		}{"allocs/slot event", event.AllocsPerSlot, committed.Event.AllocsPerSlot})
-	}
-	for _, c := range allocChecks {
+		{"allocs/slot event", event.AllocsPerSlot, committed.Event.AllocsPerSlot},
+	} {
 		if c.base == 0 && c.got > 0 {
 			// A report generated before allocs/slot existed: nothing to
-			// compare, say so rather than silently passing.
-			skip(c.name, fmt.Sprintf("measured %.3f but committed report has no alloc baseline", c.got))
+			// compare, say so rather than silently passing. Skips are
+			// counted into the exit summary so a gate that silently
+			// measured nothing is visible.
+			skipped++
+			fmt.Printf("%-22s SKIP (measured %.3f but committed report has no alloc baseline)\n", c.name, c.got)
 			continue
 		}
 		check(c.name, c.got, c.base, c.base+0.5, c.got <= c.base+0.5)
 	}
 
-	if committed.Parallel != nil && committed.ParallelBaseline != nil && committed.ParallelSpeedup > 0 {
-		// Measure the fan-out legs unconditionally: allocation counts are
-		// deterministic per (workload, fan-out width), so the parallel
-		// allocs/slot gates on every machine — the committed worker count
-		// keeps the widths comparable — even where the speedup ratio
-		// below must be skipped.
-		workers := committed.ParallelWorkers
-		if workers < 2 {
-			workers = resolveParallelWorkers(0)
-		}
-		pbase, err := runEngine(benchParallelScenario(), multicast.EngineDense, 1, ptrials)
-		if err != nil {
-			return err
-		}
-		ppar, err := runEngine(benchParallelScenario(), multicast.EngineDense, workers, ptrials)
-		if err != nil {
-			return err
-		}
-		for _, c := range []struct {
-			name      string
-			got, base float64
-		}{
-			{"allocs/slot par-base", pbase.AllocsPerSlot, committed.ParallelBaseline.AllocsPerSlot},
-			{"allocs/slot parallel", ppar.AllocsPerSlot, committed.Parallel.AllocsPerSlot},
-		} {
-			if c.base == 0 && c.got > 0 {
-				skip(c.name, fmt.Sprintf("measured %.3f but committed report has no alloc baseline", c.got))
-				continue
-			}
-			check(c.name, c.got, c.base, c.base+0.5, c.got <= c.base+0.5)
-		}
-		if g := runtime.GOMAXPROCS(0); g != committed.GOMAXPROCS {
-			// Fan-out ratios are not comparable across core counts.
-			skip("parallel speedup", fmt.Sprintf("gomaxprocs %d != %d", g, committed.GOMAXPROCS))
-		} else {
-			pspeed := ppar.SlotsPerSec / pbase.SlotsPerSec
-			check("parallel speedup", pspeed, committed.ParallelSpeedup,
-				tolerance*committed.ParallelSpeedup, pspeed >= tolerance*committed.ParallelSpeedup)
-		}
-	}
-
-	fmt.Printf("context: dense %.0f slots/s (committed %.0f), sparse %.0f slots/s (committed %.0f)\n",
-		dense.SlotsPerSec, committed.Dense.SlotsPerSec, sparse.SlotsPerSec, committed.Sparse.SlotsPerSec)
-	if committed.Event != nil && event.TrialsPassed > 0 {
-		fmt.Printf("context: event %.0f slots/s (committed %.0f)\n",
-			event.SlotsPerSec, committed.Event.SlotsPerSec)
-	}
+	fmt.Printf("context: dense %.0f slots/s (committed %.0f), event %.0f slots/s (committed %.0f)\n",
+		dense.SlotsPerSec, committed.Dense.SlotsPerSec, event.SlotsPerSec, committed.Event.SlotsPerSec)
 	if len(failures) > 0 {
 		return fmt.Errorf("perf gate: %d check(s) regressed past tolerance %.2f (%d skipped): %v",
 			len(failures), tolerance, skipped, failures)

@@ -9,7 +9,7 @@
 //	mcbench -run E3,E9        run a subset
 //	mcbench -quick            trimmed sweeps (~2 minutes)
 //	mcbench -markdown         emit GitHub-flavoured markdown (for EXPERIMENTS.md)
-//	mcbench -bench-sim BENCH_sim.json           measure the dense/sparse/event engines
+//	mcbench -bench-sim BENCH_sim.json           measure the dense and event engines
 //	mcbench -bench-sim out.json -quick          engine-benchmark smoke run (CI)
 //	mcbench -check BENCH_sim.json -quick        perf-regression gate against the committed report
 //	mcbench -check BENCH_sim.json -tolerance 0.85   …with an explicit regression floor
@@ -46,13 +46,12 @@ func run() int {
 		seed       = flag.Uint64("seed", 1, "base random seed")
 		markdown   = flag.Bool("markdown", false, "emit markdown tables")
 		csv        = flag.Bool("csv", false, "emit CSV tables (no claims/notes)")
-		benchSim   = flag.String("bench-sim", "", "measure dense/sparse/event engine throughput and write the JSON report to this path (e.g. BENCH_sim.json), then exit")
-		parallel   = flag.Int("parallel", 0, "with -bench-sim: NodeWorkers fan-out width of the parallel benchmark entry (0 = GOMAXPROCS, min 2)")
-		checkPath  = flag.String("check", "", "re-measure the engine scenarios and fail if they regressed past -tolerance of this committed report (the CI perf gate), then exit")
+		benchSim   = flag.String("bench-sim", "", "measure dense/event engine throughput and write the JSON report to this path (e.g. BENCH_sim.json), then exit")
+		checkPath  = flag.String("check", "", "re-measure the engine scenario and fail if it regressed past -tolerance of this committed report (the CI perf gate), then exit")
 		tolerance  = flag.Float64("tolerance", 0.85, "with -check: fraction of each committed ratio head must retain (>1 demands head be faster — used to smoke-test the gate)")
 		matrix     = flag.Bool("matrix", false, "run the engine benchmark matrix (algorithms × engines × densities) and exit")
 		matOut     = flag.String("matrix-out", "", "with -matrix: also write the rows as JSON to this path")
-		engine     = flag.String("engine", "auto", "slot-loop engine for experiments: auto, dense, sparse, or event (results are identical; dense is the reference loop)")
+		engine     = flag.String("engine", "auto", "slot-loop engine for experiments: auto, dense, or event (results are identical; auto runs event, dense is the reference loop)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file (inspect with go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit (inspect with go tool pprof)")
 	)
@@ -95,7 +94,7 @@ func run() int {
 	}
 
 	if *benchSim != "" {
-		if err := runEngineBench(*benchSim, *quick, *parallel); err != nil {
+		if err := runEngineBench(*benchSim, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "mcbench: engine benchmark failed: %v\n", err)
 			return 1
 		}

@@ -13,8 +13,9 @@ import (
 
 // matrixWorkload is one row of the engine benchmark matrix: an algorithm
 // at a given schedule density. Density is what separates the engines —
-// the sparse wake-list engine wins exactly when few nodes act per slot —
-// so each algorithm appears at the densities that matter for it.
+// the event engine's lead over the dense loop grows as fewer nodes act
+// per slot — so each algorithm appears at the densities that matter for
+// it.
 type matrixWorkload struct {
 	name string
 	cfg  multicast.Config
@@ -49,15 +50,13 @@ type matrixCell struct {
 	SlotsPerSec float64 `json:"slots_per_sec"`
 }
 
-// matrixRow is one workload's measurements across engines. Speedups are
-// relative to the dense reference loop.
+// matrixRow is one workload's measurements across engines. The speedup
+// is relative to the dense reference loop.
 type matrixRow struct {
 	Workload     string     `json:"workload"`
 	Trials       int        `json:"trials"`
 	Dense        matrixCell `json:"dense"`
-	Sparse       matrixCell `json:"sparse"`
 	Event        matrixCell `json:"event"`
-	Speedup      float64    `json:"speedup"`
 	EventSpeedup float64    `json:"event_speedup"`
 }
 
@@ -95,35 +94,29 @@ func runMatrix(outPath string, quick bool) error {
 		if err != nil {
 			return fmt.Errorf("%s dense: %w", w.name, err)
 		}
-		sparse, err := runMatrixCell(w.cfg, multicast.EngineSparse, trials)
-		if err != nil {
-			return fmt.Errorf("%s sparse: %w", w.name, err)
-		}
 		event, err := runMatrixCell(w.cfg, multicast.EngineEvent, trials)
 		if err != nil {
 			return fmt.Errorf("%s event: %w", w.name, err)
 		}
 		// The matrix doubles as an engine-parity check on every workload.
-		if dense.Slots != sparse.Slots || dense.Slots != event.Slots {
-			return fmt.Errorf("%s: engine divergence — dense %d slots, sparse %d, event %d",
-				w.name, dense.Slots, sparse.Slots, event.Slots)
+		if dense.Slots != event.Slots {
+			return fmt.Errorf("%s: engine divergence — dense %d slots, event %d",
+				w.name, dense.Slots, event.Slots)
 		}
 		rows = append(rows, matrixRow{
 			Workload: w.name, Trials: trials,
-			Dense: dense, Sparse: sparse, Event: event,
-			Speedup:      sparse.SlotsPerSec / dense.SlotsPerSec,
+			Dense: dense, Event: event,
 			EventSpeedup: event.SlotsPerSec / dense.SlotsPerSec,
 		})
 	}
 
 	fmt.Printf("engine benchmark matrix (scenario engine-matrix: n=128, 50%% spectrum jammed, %d trials/cell, serial)\n\n", trials)
-	fmt.Printf("%-22s  %12s  %14s  %14s  %8s  %14s  %8s\n",
-		"workload", "slots", "dense slots/s", "sparse slots/s", "speedup", "event slots/s", "speedup")
-	fmt.Println(strings.Repeat("-", 104))
+	fmt.Printf("%-22s  %12s  %14s  %14s  %8s\n",
+		"workload", "slots", "dense slots/s", "event slots/s", "speedup")
+	fmt.Println(strings.Repeat("-", 78))
 	for _, r := range rows {
-		fmt.Printf("%-22s  %12d  %14.0f  %14.0f  %7.2fx  %14.0f  %7.2fx\n",
-			r.Workload, r.Dense.Slots, r.Dense.SlotsPerSec, r.Sparse.SlotsPerSec, r.Speedup,
-			r.Event.SlotsPerSec, r.EventSpeedup)
+		fmt.Printf("%-22s  %12d  %14.0f  %14.0f  %7.2fx\n",
+			r.Workload, r.Dense.Slots, r.Dense.SlotsPerSec, r.Event.SlotsPerSec, r.EventSpeedup)
 	}
 	fmt.Println("\nengines agreed on total slots for every workload (bit-identity holds)")
 

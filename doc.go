@@ -48,16 +48,16 @@
 //
 //   - EngineDense steps every non-halted node in every slot — the
 //     reference semantics.
-//   - EngineSparse exploits the schedules' sparsity: each node
+//   - EngineEvent exploits the schedules' sparsity: each node
 //     pre-computes its next non-idle slot (the protocol.Sleeper
-//     contract), the engine keeps a bucket-ring wake list, and slot
-//     ranges in which no node acts are skipped in bulk. Eve is still
-//     charged for jamming in skipped ranges — her jam sets are
-//     unobservable there, so only their aggregate size matters, which
-//     oblivious strategies report via SpendRange. Adaptive jammers and
-//     Observers force per-slot stepping (no range skipping), because
-//     both observe every slot.
-//   - EngineAuto (the default) picks Sparse whenever it applies.
+//     contract), the engine keeps a global event calendar of those
+//     wakes, and slot ranges in which no node acts are skipped in bulk.
+//     Eve is still charged for jamming in skipped ranges — her jam sets
+//     are unobservable there, so only their aggregate size matters,
+//     which oblivious strategies report via SpendRange. Adaptive jammers
+//     and Observers force per-slot stepping (no range skipping), because
+//     both observe every slot; nodes without Sleeper wake every slot.
+//   - EngineAuto (the default) runs the event engine.
 //
 // Node randomness is skip-sampled: the protocols' per-slot choices are
 // i.i.d. within a step window, so each node draws the geometric gap to
@@ -70,9 +70,9 @@
 //
 // The two engines produce bit-identical Metrics for every configuration
 // and seed; the equivalence matrix and fuzz tests in internal/sim enforce
-// this, and `mcbench -bench-sim BENCH_sim.json` tracks the speedup
-// (≥ 2× on the low-density MultiCastCore scenario; ~5× after the
-// gap-draw refactor). `mcbench -matrix` measures the whole
+// this, and `mcbench -bench-sim BENCH_sim.json` tracks the event/dense
+// speedup on the low-density MultiCastCore scenario (about 10×).
+// `mcbench -matrix` measures the whole
 // algorithms × engines × densities grid.
 //
 // # Trial-layer determinism

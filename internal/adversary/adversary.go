@@ -39,8 +39,8 @@ type Factory interface {
 	New(r *rng.Source) Strategy
 }
 
-// RangeSpender is an optional Strategy extension used by the engine's
-// sparse fast path. When no node acts in [from, to), the jam *set* is
+// RangeSpender is an optional Strategy extension used by the event
+// engine's range skipping. When no node acts in [from, to), the jam *set* is
 // unobservable — only its size matters, because Eve still pays one unit
 // per jammed channel per slot. SpendRange returns the total energy the
 // strategy would spend over slots [from, to), all with the same channel
@@ -49,7 +49,7 @@ type Factory interface {
 //
 // Implementations must advance any internal state — including random
 // draws — exactly as the equivalent sequence of per-slot Fill calls
-// would, so that sparse and dense executions stay bit-identical.
+// would, so that event and dense executions stay bit-identical.
 // Strategies without this method fall back to per-slot Fill against a
 // scratch mask.
 type RangeSpender interface {

@@ -29,7 +29,7 @@ type RunConfig struct {
 	// finishes in a couple of minutes (used by benchmarks and CI).
 	Quick bool
 	// Engine overrides the slot-loop implementation for every trial
-	// (zero = Auto). Dense and sparse produce identical metrics; the
+	// (zero = Auto). Dense and event produce identical metrics; the
 	// knob exists to re-run tables on the reference engine or to time
 	// the difference.
 	Engine sim.Engine

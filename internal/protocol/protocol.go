@@ -100,8 +100,8 @@ type Node interface {
 	Informed() bool
 }
 
-// Sleeper is an optional Node extension that enables the engine's sparse
-// fast path. NextActive returns the next slot ≥ now at which the node
+// Sleeper is an optional Node extension that lets the event engine skip
+// the node's idle slots. NextActive returns the next slot ≥ now at which the node
 // needs to be stepped — the next slot where Step would return a non-Idle
 // action, or where EndSlot's bookkeeping could change Status().
 //
@@ -116,7 +116,7 @@ type Node interface {
 // without touching the stream, and a node's private stream advances only
 // at gap-draw points (node creation, after an action's EndSlot, and at
 // absorbed boundaries) and at action slots (action kind and channel).
-// Both engines run this same node code, so dense and sparse executions
+// Both engines run this same node code, so dense and event executions
 // consume each node's stream identically by construction.
 //
 // Contract:
@@ -160,7 +160,7 @@ type Algorithm interface {
 	Channels(slot int64) int
 }
 
-// ChannelSpanner is an optional Algorithm extension used by the sparse
+// ChannelSpanner is an optional Algorithm extension used by the event
 // engine. ChannelSpan returns the channel count at slot together with the
 // first later slot at which the count may change, so that a skipped slot
 // range can be charged to the adversary in constant-channel chunks instead

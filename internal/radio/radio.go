@@ -150,7 +150,7 @@ func (nw *Network) NodeEnergies() []int64 { return nw.nodeEnergy }
 func (nw *Network) EveEnergy() int64 { return nw.eveEnergy }
 
 // ChargeEve adds amount to Eve's energy meter without running a slot. The
-// sparse engine uses it to account for jamming in slot ranges it skips:
+// event engine uses it to account for jamming in slot ranges it skips:
 // no node listens there, so the jam sets are unobservable, but Eve still
 // pays for them. amount must be ≥ 0.
 func (nw *Network) ChargeEve(amount int64) {

@@ -93,7 +93,7 @@ func TestGeometricCapped(t *testing.T) {
 // gap as Geometric(p) from the same stream state, across regular rates
 // and every degenerate edge (p > 1 → NaN, p = 1 → −Inf, p = 0 → 0,
 // p < 0 → positive lnQ). The engines precompute lnQ once per window and
-// rely on this exactness for dense/sparse/event bit-identity.
+// rely on this exactness for dense/event bit-identity.
 func TestGeometricLnMatchesGeometric(t *testing.T) {
 	ps := []float64{0.5, 0.25, 1.0 / 32, 1.0 / 64, 1.0 / 4096, 0, 1, 1.5, -0.25}
 	a, b := New(17), New(17)

@@ -28,7 +28,7 @@ func init() {
 	Register(Scenario{
 		Name: "density-spectrum",
 		Description: "MultiCastCore across listen/broadcast densities p ∈ {1/8…1/64} " +
-			"under half-spectrum jamming — the axis that separates the dense engine from the sparse and event ones",
+			"under half-spectrum jamming — the axis that separates the dense engine from the event one",
 		Points: func(opts Options) []Point {
 			n, budget := resolve(opts, 128, 100_000)
 			dens := []int{8, 16, 64} // p = 1/d
@@ -178,7 +178,7 @@ func init() {
 
 	Register(Scenario{
 		Name: "engine-matrix",
-		Description: "the fixed engine benchmark grid — dense vs sparse vs event (algorithms × schedule densities, " +
+		Description: "the fixed engine benchmark grid — dense vs event (algorithms × schedule densities, " +
 			"n=128, half spectrum jammed); ignores overrides to stay comparable across PRs",
 		Points: func(opts Options) []Point {
 			const n = 128

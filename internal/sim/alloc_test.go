@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"multicast/internal/adversary"
@@ -10,117 +9,88 @@ import (
 	"multicast/internal/protocol"
 )
 
-// TestSlotLoopAllocFree pins the steady-state allocation rate of all
-// three slot loops at zero on a recycled Executor, at two node counts
-// (n=1024 exercises the buffer-growth paths the small case never
-// touches) and with the parallel stepping pool both off and on. The
-// workload never halts (full-spectrum jamming with a budget that
-// outlasts MaxSlots), so two runs differing only in MaxSlots isolate the
-// per-slot cost: the per-trial allocations (algorithm instance, nodes,
-// pool wake-up, the ErrMaxSlots wrap) are identical in both and cancel
-// in the subtraction.
+// TestSlotLoopAllocFree pins the steady-state allocation rate of both
+// slot loops at zero on a recycled Executor, at two node counts (n=1024
+// exercises the buffer-growth paths the small case never touches). The
+// workloads never halt (a budget that outlasts MaxSlots), so two runs
+// differing only in MaxSlots isolate the per-slot cost: the per-trial
+// allocations (algorithm instance, nodes, the ErrMaxSlots wrap) are
+// identical in both and cancel in the subtraction. Full-spectrum
+// jamming drives the event engine's lean step; the camper row's
+// adaptive Eve puts it on its per-slot stepSlot path instead — the path
+// Auto takes for adaptive adversaries.
 func TestSlotLoopAllocFree(t *testing.T) {
-	for _, n := range []int{128, 1024} {
-		for _, workers := range []int{1, 4} {
-			n, workers := n, workers
-			base := Config{
-				N: n,
-				Algorithm: func() (protocol.Algorithm, error) {
-					return core.NewMultiCast(core.Sim(), n)
-				},
-				Adversary:   adversary.FullBurst(0),
-				Budget:      1 << 40, // Eve outlasts MaxSlots: nodes can never halt
-				Seed:        7,
-				NodeWorkers: workers,
+	rows := []struct {
+		name   string
+		n      int
+		adv    adversary.Factory
+		engine Engine
+	}{
+		{"dense/n128", 128, adversary.FullBurst(0), EngineDense},
+		{"dense/n1024", 1024, adversary.FullBurst(0), EngineDense},
+		{"event/n128", 128, adversary.FullBurst(0), EngineEvent},
+		{"event/n1024", 1024, adversary.FullBurst(0), EngineEvent},
+		{"event-camper/n128", 128, adversary.Camper(64, 64), EngineEvent},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			n := row.n
+			exec := NewExecutor()
+			run := func(maxSlots int64) {
+				cfg := Config{
+					N: n,
+					Algorithm: func() (protocol.Algorithm, error) {
+						return core.NewMultiCast(core.Sim(), n)
+					},
+					Adversary: row.adv,
+					Budget:    1 << 40, // Eve outlasts MaxSlots: nodes can never halt
+					Seed:      7,
+					Engine:    row.engine,
+					MaxSlots:  maxSlots,
+				}
+				if _, err := exec.Run(cfg); !errors.Is(err, ErrMaxSlots) {
+					t.Fatalf("want ErrMaxSlots, got %v", err)
+				}
 			}
 			const shortRun, longRun = int64(1) << 10, int64(5) << 10
-			for _, engine := range []Engine{EngineDense, EngineSparse, EngineEvent} {
-				t.Run(fmt.Sprintf("%v/n%d/w%d", engine, n, workers), func(t *testing.T) {
-					exec := NewExecutor()
-					run := func(maxSlots int64) {
-						cfg := base
-						cfg.Engine = engine
-						cfg.MaxSlots = maxSlots
-						if _, err := exec.Run(cfg); !errors.Is(err, ErrMaxSlots) {
-							t.Fatalf("want ErrMaxSlots, got %v", err)
-						}
-					}
-					run(longRun) // grow every pooled buffer past its steady-state size
-					shortAllocs := testing.AllocsPerRun(3, func() { run(shortRun) })
-					longAllocs := testing.AllocsPerRun(3, func() { run(longRun) })
-					perSlot := (longAllocs - shortAllocs) / float64(longRun-shortRun)
-					if perSlot > 0.001 {
-						t.Errorf("slot loop allocates: %.4f allocs/slot (short run %.1f, long run %.1f)",
-							perSlot, shortAllocs, longAllocs)
-					}
-				})
+			run(longRun) // grow every pooled buffer past its steady-state size
+			shortAllocs := testing.AllocsPerRun(3, func() { run(shortRun) })
+			longAllocs := testing.AllocsPerRun(3, func() { run(longRun) })
+			perSlot := (longAllocs - shortAllocs) / float64(longRun-shortRun)
+			if perSlot > 0.001 {
+				t.Errorf("slot loop allocates: %.4f allocs/slot (short run %.1f, long run %.1f)",
+					perSlot, shortAllocs, longAllocs)
 			}
-		}
-	}
-}
-
-// TestPoolStartAllocBound pins the per-trial cost of the parallel
-// stepping pool on a recycled Executor. The wake/done channels are
-// cached on the pool across runs, so switching k workers on costs only
-// the k-1 goroutine spawns — the bound here fails if a fresh channel
-// set sneaks back into startPool (the allocs_per_slot regression
-// BENCH_sim.json caught at the campaign level).
-func TestPoolStartAllocBound(t *testing.T) {
-	const n, workers = 256, 4
-	mk := func(w int) Config {
-		return Config{
-			N: n,
-			Algorithm: func() (protocol.Algorithm, error) {
-				return core.NewMultiCast(core.Sim(), n)
-			},
-			Adversary:   adversary.FullBurst(0),
-			Budget:      1 << 40,
-			Seed:        7,
-			MaxSlots:    256,
-			NodeWorkers: w,
-		}
-	}
-	exec := NewExecutor()
-	run := func(w int) {
-		if _, err := exec.Run(mk(w)); !errors.Is(err, ErrMaxSlots) {
-			t.Fatalf("want ErrMaxSlots, got %v", err)
-		}
-	}
-	run(workers) // size the pool, its channels, and every buffer
-	run(1)
-	serial := testing.AllocsPerRun(10, func() { run(1) })
-	parallel := testing.AllocsPerRun(10, func() { run(workers) })
-	if extra, limit := parallel-serial, float64(3*(workers-1)); extra > limit {
-		t.Errorf("pool start allocates: %.1f extra allocs/trial at %d workers (limit %.0f; serial %.1f, parallel %.1f)",
-			extra, workers, limit, serial, parallel)
+		})
 	}
 }
 
 // TestExecutorRecycleMatchesRun: a recycled Executor must be
 // indistinguishable from a fresh Run for every trial, including when the
 // configuration shape changes between trials (N shrinking and growing,
-// engines alternating, the parallel stepping pool switching on and off).
+// engines alternating, the event engine switching between its lean step
+// and its per-slot stepSlot path).
 func TestExecutorRecycleMatchesRun(t *testing.T) {
-	mkCfg := func(n int, engine Engine, workers int, seed uint64) Config {
+	mkCfg := func(n int, engine Engine, adv adversary.Factory, seed uint64) Config {
 		return Config{
 			N: n,
 			Algorithm: func() (protocol.Algorithm, error) {
 				return core.NewMultiCast(core.Sim(), n)
 			},
-			Adversary:   adversary.RandomFraction(0.4),
-			Budget:      6_000,
-			Seed:        seed,
-			Engine:      engine,
-			NodeWorkers: workers,
+			Adversary: adv,
+			Budget:    6_000,
+			Seed:      seed,
+			Engine:    engine,
 		}
 	}
+	oblivious, adaptive := adversary.RandomFraction(0.4), adversary.Reactive(0.4)
 	cfgs := []Config{
-		mkCfg(64, EngineSparse, 1, 1),
-		mkCfg(16, EngineDense, 4, 2), // shrink + parallel pool on
-		mkCfg(64, EngineEvent, 1, 3), // grow back + pool off, lean step
-		mkCfg(32, EngineAuto, 3, 4),
-		mkCfg(32, EngineEvent, 2, 5), // event + pool: full stepSlot path
-		mkCfg(32, EngineDense, 1, 6),
+		mkCfg(64, EngineEvent, oblivious, 1),
+		mkCfg(16, EngineDense, oblivious, 2), // shrink
+		mkCfg(64, EngineEvent, oblivious, 3), // grow back, lean step
+		mkCfg(32, EngineAuto, oblivious, 4),
+		mkCfg(32, EngineEvent, adaptive, 5), // adaptive Eve: full stepSlot path
+		mkCfg(32, EngineDense, oblivious, 6),
 	}
 	exec := NewExecutor()
 	for i, cfg := range cfgs {

@@ -59,7 +59,7 @@ func BenchmarkSlotLoopAdaptive(b *testing.B) {
 // shape (MultiCastCore, n=128, listen probability 1/64, half-spectrum
 // block jammer) on a recycled Executor, reporting allocs/op so steady-
 // state allocation regressions show up directly in -bench output.
-func benchmarkRun(b *testing.B, engine Engine, nodeWorkers int) {
+func benchmarkRun(b *testing.B, engine Engine) {
 	const n = 128
 	params := core.Sim()
 	params.CoreP = 1.0 / 64
@@ -69,10 +69,9 @@ func benchmarkRun(b *testing.B, engine Engine, nodeWorkers int) {
 		Algorithm: func() (protocol.Algorithm, error) {
 			return core.NewMultiCastCore(params, n, 200_000)
 		},
-		Adversary:   adversary.BlockFraction(0.5),
-		Budget:      200_000,
-		Engine:      engine,
-		NodeWorkers: nodeWorkers,
+		Adversary: adversary.BlockFraction(0.5),
+		Budget:    200_000,
+		Engine:    engine,
 	}
 	exec := NewExecutor()
 	var slots int64
@@ -90,25 +89,16 @@ func benchmarkRun(b *testing.B, engine Engine, nodeWorkers int) {
 	b.ReportMetric(float64(slots)/b.Elapsed().Seconds(), "slots/s")
 }
 
-func BenchmarkRunDense(b *testing.B)  { benchmarkRun(b, EngineDense, 1) }
-func BenchmarkRunSparse(b *testing.B) { benchmarkRun(b, EngineSparse, 1) }
-func BenchmarkRunEvent(b *testing.B)  { benchmarkRun(b, EngineEvent, 1) }
-
-// BenchmarkRunDenseParallel exercises the NodeWorkers fan-out on the
-// dense loop, where every slot steps all n nodes (the sparse loop's
-// few-woken-nodes slots have too little per-slot work to parallelize).
-func BenchmarkRunDenseParallel(b *testing.B) { benchmarkRun(b, EngineDense, 4) }
+func BenchmarkRunDense(b *testing.B) { benchmarkRun(b, EngineDense) }
+func BenchmarkRunEvent(b *testing.B) { benchmarkRun(b, EngineEvent) }
 
 // Trial-level parallel scaling is benchmarked in multicast/internal/runner,
 // which owns the worker pool.
 
-// BenchmarkWakeStructures compares the two wake calendars — the sparse
-// engine's 64-slot wakeRing and the event engine's 4096-slot
-// eventWheel — on the operation mix the engines actually run: push n
+// BenchmarkWakeStructures measures the event engine's 4096-slot
+// eventWheel on the operation mix the engine actually runs: push n
 // wakes at geometric gaps, then repeatedly find-next/advance/pop. The
-// density axis is the per-node wake probability per slot; the Auto
-// heuristic's event-vs-sparse crossover (eventAutoGap) is justified by
-// where the wheel's wins stop mattering relative to total slot cost.
+// density axis is the per-node wake probability per slot.
 func BenchmarkWakeStructures(b *testing.B) {
 	const n = 128
 	densities := []struct {
@@ -126,31 +116,6 @@ func BenchmarkWakeStructures(b *testing.B) {
 		for i := range gaps {
 			gaps[i] = 1 + r.Geometric(d.p)
 		}
-		b.Run("ring/"+d.name, func(b *testing.B) {
-			w := newWakeRing(n)
-			var buf []int
-			gi := 0
-			nextGap := func() int64 { g := gaps[gi&(len(gaps)-1)]; gi++; return g }
-			cur := int64(0)
-			for id := 0; id < n; id++ {
-				w.push(cur+nextGap(), int32(id))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.advance(cur)
-				next, ok := w.nextWakeSlot(cur)
-				if !ok {
-					b.Fatal("ring drained")
-				}
-				cur = next
-				w.advance(cur)
-				buf = w.popSlot(cur, buf[:0])
-				for _, id := range buf {
-					w.push(cur+nextGap(), int32(id))
-				}
-				cur++
-			}
-		})
 		b.Run("wheel/"+d.name, func(b *testing.B) {
 			w := newEventWheel(n)
 			var buf []int

@@ -15,7 +15,7 @@ import (
 )
 
 // noRangeSweep is a sweep-like strategy that deliberately does NOT
-// implement adversary.RangeSpender, forcing the sparse engine through its
+// implement adversary.RangeSpender, forcing the event engine through its
 // per-slot Fill fallback for skipped ranges.
 type noRangeSweep struct{ width int }
 
@@ -42,13 +42,13 @@ func noRangeFactory(width int) adversary.Factory {
 }
 
 // TestEngineEquivalenceMatrix is the dense-equivalence oracle for the
-// sparse and event engines: for every algorithm family × adversary class
-// × (N, T) point × seed, a sparse run and an event run must each produce
-// Metrics byte-identical to the dense reference run (and fail
-// identically if they fail). The adversary axis covers nil, closed-form
-// oblivious, randomised oblivious (whose SpendRange must keep the jam
-// stream aligned), a strategy without SpendRange (per-slot fallback),
-// and adaptive (which disables range skipping entirely).
+// event engine: for every algorithm family × adversary class × (N, T)
+// point × seed, an event run must produce Metrics byte-identical to the
+// dense reference run (and fail identically if it fails). The adversary
+// axis covers nil, closed-form oblivious, randomised oblivious (whose
+// SpendRange must keep the jam stream aligned), a strategy without
+// SpendRange (per-slot fallback), and adaptive (which disables range
+// skipping entirely).
 func TestEngineEquivalenceMatrix(t *testing.T) {
 	params := core.Sim()
 	type algCase struct {
@@ -133,16 +133,14 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 						}
 						cfg.Engine = EngineDense
 						want, errD := Run(cfg)
-						for _, challenger := range []Engine{EngineSparse, EngineEvent} {
-							cfg.Engine = challenger
-							got, errC := Run(cfg)
-							if (errD == nil) != (errC == nil) ||
-								errors.Is(errD, ErrMaxSlots) != errors.Is(errC, ErrMaxSlots) {
-								t.Fatalf("seed %d: error mismatch: dense %v, %v %v", seed, errD, challenger, errC)
-							}
-							if got != want {
-								t.Fatalf("seed %d: engines diverge\n dense %+v\n %v %+v", seed, want, challenger, got)
-							}
+						cfg.Engine = EngineEvent
+						got, errE := Run(cfg)
+						if (errD == nil) != (errE == nil) ||
+							errors.Is(errD, ErrMaxSlots) != errors.Is(errE, ErrMaxSlots) {
+							t.Fatalf("seed %d: error mismatch: dense %v, event %v", seed, errD, errE)
+						}
+						if got != want {
+							t.Fatalf("seed %d: engines diverge\n dense %+v\n event %+v", seed, want, got)
 						}
 					}
 				})
@@ -151,41 +149,65 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestEngineAutoMatchesDense pins the Auto resolution: whatever engine it
-// picks — sparse for the oblivious all-Sleeper case, dense when an
-// Observer or adaptive Eve forces per-slot work — the metrics must equal
-// the dense reference.
+// TestEngineAutoMatchesDense pins Auto, which always runs the event
+// engine, on each route into it — an oblivious Eve (range skipping and
+// the lean step), an adaptive Eve (camper, reactive: per-slot stepSlot),
+// and an algorithm whose nodes lack protocol.Sleeper (countingAlg's
+// wrapper hides it, so every node wakes every slot): the metrics must
+// equal the dense reference, and the run must have built the event
+// engine's wheel (the dense loop never does).
 func TestEngineAutoMatchesDense(t *testing.T) {
-	for _, adv := range []adversary.Factory{nil, adversary.RandomFraction(0.5), adversary.Camper(16, 8)} {
+	multiCast := func() (protocol.Algorithm, error) { return core.NewMultiCast(core.Sim(), 32) }
+	notSleeper := func() (protocol.Algorithm, error) {
+		inner, err := multiCast()
+		if err != nil {
+			return nil, err
+		}
+		return &countingAlg{inner: inner, counts: make(map[int]int64)}, nil
+	}
+	rows := []struct {
+		name string
+		alg  func() (protocol.Algorithm, error)
+		adv  adversary.Factory
+	}{
+		{"nil", multiCast, nil},
+		{"rand", multiCast, adversary.RandomFraction(0.5)},
+		{"camper", multiCast, adversary.Camper(16, 8)},
+		{"reactive", multiCast, adversary.Reactive(0.5)},
+		{"not-sleeper", notSleeper, adversary.RandomFraction(0.5)},
+	}
+	for _, row := range rows {
 		cfg := Config{
-			N: 32,
-			Algorithm: func() (protocol.Algorithm, error) {
-				return core.NewMultiCast(core.Sim(), 32)
-			},
-			Adversary: adv,
+			N:         32,
+			Algorithm: row.alg,
+			Adversary: row.adv,
 			Budget:    8_000,
 			Seed:      11,
 		}
 		cfg.Engine = EngineDense
 		want, err := Run(cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", row.name, err)
 		}
 		cfg.Engine = EngineAuto
-		got, err := Run(cfg)
+		exec := NewExecutor()
+		got, err := exec.Run(cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if exec.ex.wheel == nil {
+			t.Fatalf("%s: Auto did not run the event engine", row.name)
 		}
 		if got != want {
-			t.Fatalf("auto diverges from dense:\n dense %+v\n auto  %+v", want, got)
+			t.Fatalf("%s: auto diverges from dense:\n dense %+v\n auto  %+v", row.name, want, got)
 		}
 	}
 }
 
-// TestEngineSparseWithObserver: an Observer forces the sparse and event
-// engines to resolve every slot; the per-slot callbacks and the metrics
-// must both match the dense run exactly.
-func TestEngineSparseWithObserver(t *testing.T) {
+// TestEngineObserverEquivalence: an Observer forces the event engine to
+// resolve every slot; the per-slot callbacks and the metrics must both
+// match the dense run exactly.
+func TestEngineObserverEquivalence(t *testing.T) {
 	type slotRec struct {
 		slot                                                   int64
 		channels, jammed, listeners, broadcasters, inf, halted int
@@ -211,18 +233,16 @@ func TestEngineSparseWithObserver(t *testing.T) {
 		return recs, m
 	}
 	denseRecs, denseM := record(EngineDense)
-	for _, challenger := range []Engine{EngineSparse, EngineEvent} {
-		recs, m := record(challenger)
-		if m != denseM {
-			t.Fatalf("metrics diverge:\n dense %+v\n %v %+v", denseM, challenger, m)
-		}
-		if len(denseRecs) != len(recs) {
-			t.Fatalf("observer saw %d slots dense, %d %v", len(denseRecs), len(recs), challenger)
-		}
-		for i := range denseRecs {
-			if denseRecs[i] != recs[i] {
-				t.Fatalf("slot %d: observer records diverge:\n dense %+v\n %v %+v", i, denseRecs[i], challenger, recs[i])
-			}
+	recs, m := record(EngineEvent)
+	if m != denseM {
+		t.Fatalf("metrics diverge:\n dense %+v\n event %+v", denseM, m)
+	}
+	if len(denseRecs) != len(recs) {
+		t.Fatalf("observer saw %d slots dense, %d event", len(denseRecs), len(recs))
+	}
+	for i := range denseRecs {
+		if denseRecs[i] != recs[i] {
+			t.Fatalf("slot %d: observer records diverge:\n dense %+v\n event %+v", i, denseRecs[i], recs[i])
 		}
 	}
 }
@@ -265,15 +285,13 @@ func TestEngineMaxSlotsEquivalence(t *testing.T) {
 	if !errors.Is(errD, ErrMaxSlots) {
 		t.Fatalf("expected ErrMaxSlots from dense, got %v", errD)
 	}
-	for _, challenger := range []Engine{EngineSparse, EngineEvent} {
-		cfg.Engine = challenger
-		got, errC := Run(cfg)
-		if !errors.Is(errC, ErrMaxSlots) {
-			t.Fatalf("expected ErrMaxSlots from %v, got %v", challenger, errC)
-		}
-		if got != want {
-			t.Fatalf("truncated metrics diverge:\n dense %+v\n %v %+v", want, challenger, got)
-		}
+	cfg.Engine = EngineEvent
+	got, errE := Run(cfg)
+	if !errors.Is(errE, ErrMaxSlots) {
+		t.Fatalf("expected ErrMaxSlots from event, got %v", errE)
+	}
+	if got != want {
+		t.Fatalf("truncated metrics diverge:\n dense %+v\n event %+v", want, got)
 	}
 }
 

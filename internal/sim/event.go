@@ -1,16 +1,19 @@
-// Event slot engine: the global event-calendar loop. The sparse engine
-// (sparse.go) already skips idle slot ranges, but its wake list is a
-// 64-slot ring — schedules whose gaps regularly exceed the window push
-// half their wakes through the overflow heap, and every executed slot
-// still pays the full radio.Network slot protocol. The event engine
-// replaces both costs:
+// Event slot engine: the paper's schedules leave most nodes idle in most
+// slots, so stepping every node every slot (the dense loop) wastes almost
+// all of its work. Nodes that implement protocol.Sleeper pre-draw their
+// next non-idle slot as one closed-form geometric gap — idle slots
+// consume no randomness in either engine — and the event engine jumps
+// from one network event to the next:
 //
 //   - wakes live in a 4096-slot calendar (eventWheel) with a two-level
 //     occupancy bitmap, so the next network event — the minimum over the
 //     next node wake, the adversary's budget horizon, channel-span
 //     boundaries, and the MaxSlots valve — is found with two or three
-//     word scans, and the overflow heap (the existing wakeHeap) only
-//     sees astronomically rare gaps ≥ 4096;
+//     word scans, and the overflow heap (wakeHeap) only sees
+//     astronomically rare gaps ≥ 4096;
+//   - slot ranges in which no node wakes are skipped in bulk, with Eve's
+//     jamming charged in aggregate via adversary.RangeSpender (jam sets
+//     in unobserved slots only matter through their size);
 //   - slots are resolved by a lean step (stepSlotLean) that collects the
 //     few awake nodes' actions, resolves each listener's channel against
 //     the slot's broadcasts and jam mask directly, and bypasses the
@@ -19,16 +22,18 @@
 //     reproduced call for call (adversary.RangeSpender covers the
 //     no-listener slots where only her spend is observable).
 //
-// The skipped ranges charge Eve exactly as the sparse engine does
-// (skipRange/chargeRange). Executions are bit-identical to the dense
-// engine for every configuration; TestEngineEquivalenceMatrix and
-// FuzzEngineEquivalence pin that down with the event engine as a third
-// column.
+// An adaptive Eve senses every slot and an Observer wants every slot
+// reported, so either one turns off range skipping and the lean step:
+// every slot then resolves through the full stepSlot, stepping only the
+// awake nodes. Nodes without Sleeper wake every slot. Executions are
+// bit-identical to the dense engine for every configuration;
+// TestEngineEquivalenceMatrix and FuzzEngineEquivalence pin that down.
 
 package sim
 
 import (
 	"math/bits"
+	"slices"
 
 	"multicast/internal/adversary"
 	"multicast/internal/protocol"
@@ -45,15 +50,62 @@ const (
 	wheelGroups = wheelWindow / 64
 )
 
-// eventWheel is a two-tier calendar queue over wake slots, the event
-// engine's counterpart of wakeRing. Near-future wakes (slot ∈ [base,
-// base+4096)) live in per-slot buckets addressed by slot&4095; buckets
-// are intrusive chains threaded through next (each node has at most one
-// pending wake). Occupancy is a two-level bitmap — group[g] holds one
-// bit per bucket of group g, summary one bit per non-empty group — so
-// the next occupied bucket after any position is found with at most
-// three TrailingZeros scans. Far-future wakes wait in a wakeHeap and
-// migrate in as the window advances.
+// wakeEntry is one node's scheduled wake slot.
+type wakeEntry struct {
+	slot int64
+	id   int32
+}
+
+// wakeHeap is a binary min-heap of wake entries ordered by slot. It backs
+// the wheel's overflow tier, so it only sees far-future wakes.
+type wakeHeap []wakeEntry
+
+func (h *wakeHeap) push(e wakeEntry) {
+	*h = append(*h, e)
+	i := len(*h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if (*h)[i].slot >= (*h)[parent].slot {
+			break
+		}
+		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		i = parent
+	}
+}
+
+func (h *wakeHeap) popMin() wakeEntry {
+	old := *h
+	top := old[0]
+	last := len(old) - 1
+	old[0] = old[last]
+	*h = old[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < last && (*h)[l].slot < (*h)[smallest].slot {
+			smallest = l
+		}
+		if r < last && (*h)[r].slot < (*h)[smallest].slot {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
+		i = smallest
+	}
+	return top
+}
+
+// eventWheel is a two-tier calendar queue over wake slots. Near-future
+// wakes (slot ∈ [base, base+4096)) live in per-slot buckets addressed by
+// slot&4095; buckets are intrusive chains threaded through next (each
+// node has at most one pending wake). Occupancy is a two-level bitmap —
+// group[g] holds one bit per bucket of group g, summary one bit per
+// non-empty group — so the next occupied bucket after any position is
+// found with at most three TrailingZeros scans. Far-future wakes wait in
+// a wakeHeap and migrate in as the window advances.
 type eventWheel struct {
 	base     int64   // buckets cover slots [base, base+wheelWindow)
 	head     []int32 // [wheelWindow] chain head per bucket, -1 when empty
@@ -64,8 +116,6 @@ type eventWheel struct {
 	size     int // pending wakes, both tiers
 
 	idbits []uint64 // popSlot id bitmap: one bit per id, zero between pops
-	bucket []int32  // popSlot chain-collection scratch (sorter fallback)
-	sorter runSorter
 }
 
 func newEventWheel(capacity int) *eventWheel {
@@ -163,45 +213,6 @@ func (w *eventWheel) migrateOverflow(cur int64) {
 		e := w.overflow.popMin()
 		w.link(e.slot, e.id)
 	}
-}
-
-// popNext finds the earliest scheduled wake ≥ cur, drains its bucket
-// into dst (ascending id order), and returns the wake slot with the
-// extended slice. One call replaces the advance → nextWakeSlot →
-// popSlot sequence, so the hot loop pays a single call and a single
-// window scan per executed slot. Returns ok=false when no wake is
-// pending anywhere.
-func (w *eventWheel) popNext(cur int64, dst []int) (int64, []int, bool) {
-	if w.size == 0 {
-		return 0, dst, false
-	}
-	w.base = cur
-	if len(w.overflow) != 0 && w.overflow[0].slot < cur+wheelWindow {
-		w.migrateOverflow(cur)
-	}
-	if w.summary == 0 {
-		// Every pending wake sits in the overflow heap, beyond the
-		// window: jump the window to the heap's head, which migrates at
-		// least that entry into a bucket.
-		w.advance(w.overflow[0].slot)
-		cur = w.base
-	}
-	// The occupancy scan is nextWakeSlot's, spelled out inline (summary
-	// is known non-zero here, and the call is on the per-slot hot path).
-	p := int(cur & (wheelWindow - 1))
-	pg, pb := p>>6, p&63
-	var slot int64
-	if rem := w.group[pg] >> pb; rem != 0 {
-		slot = cur + int64(bits.TrailingZeros64(rem))
-	} else if rot := bits.RotateLeft64(w.summary, -pg) &^ 1; rot != 0 {
-		dg := bits.TrailingZeros64(rot)
-		g := (pg + dg) & (wheelGroups - 1)
-		slot = cur + int64(dg*64-pb+bits.TrailingZeros64(w.group[g]))
-	} else {
-		low := w.group[pg] & (1<<pb - 1)
-		slot = cur + int64(wheelWindow-pb+bits.TrailingZeros64(low))
-	}
-	return slot, w.popSlot(slot, dst), true
 }
 
 // nextWakeSlot returns the earliest scheduled wake ≥ cur. The caller
@@ -303,7 +314,7 @@ func (w *eventWheel) popSlot(cur int64, dst []int) []int {
 	if hi-lo > 4*k+8 {
 		// A handful of ids scattered across a huge id space: the word
 		// scan would dominate. Unmark them (the chain is untouched) and
-		// let the run-merge sorter handle the bucket instead.
+		// sort the chain instead.
 		for id := h; id >= 0; id = w.next[id] {
 			idb[int(id)>>6] = 0
 		}
@@ -320,22 +331,14 @@ func (w *eventWheel) popSlot(cur int64, dst []int) []int {
 	return dst
 }
 
-// popSlotSorted drains bucket b (chain head h, k entries) through the
-// run-merge sorter: the chain is LIFO, so reversing it restores push
-// order — a concatenation of ascending runs, the sorter's best shape.
+// popSlotSorted drains bucket b (chain head h, k entries) by appending
+// the chain to dst and sorting the appended ids in place.
 func (w *eventWheel) popSlotSorted(b int, h int32, k int, dst []int) []int {
-	ids := w.bucket[:0]
+	start := len(dst)
 	for id := h; id >= 0; id = w.next[id] {
-		ids = append(ids, id)
-	}
-	for i, j := 0, len(ids)-1; i < j; i, j = i+1, j-1 {
-		ids[i], ids[j] = ids[j], ids[i]
-	}
-	w.bucket = ids
-	w.sorter.sort(ids)
-	for _, id := range ids {
 		dst = append(dst, int(id))
 	}
+	slices.Sort(dst[start:])
 	w.size -= k
 	w.clearBucket(b)
 	return dst
@@ -351,37 +354,49 @@ func (w *eventWheel) clearBucket(b int) {
 	}
 }
 
+// pendingBroadcast is one Phase 1 broadcast action buffered by the lean
+// step: the broadcaster's id, its channel, and its payload.
+type pendingBroadcast struct {
+	id      int
+	ch      int
+	payload radio.Payload
+}
+
 // pendingListen is one Phase 1 listen action buffered by the lean step:
 // the listener's id and the channel it tuned to.
 type pendingListen struct {
 	id, ch int32
 }
 
-// runEvent is the event-calendar slot loop. Its control flow mirrors
-// runSparse exactly — advance, find the next event, bulk-skip the gap,
-// execute the wake slot, reschedule — so every adversary call and node
-// call happens in the same order; the differences are the calendar
-// (eventWheel for wakeRing) and the lean slot step.
-func (ex *execution) runEvent() (Metrics, error) {
-	maxSlots := ex.maxSlots()
-	// Same degradations as the sparse engine: an adaptive Eve or an
-	// Observer forces every slot to resolve.
-	skipOK := ex.adaptive == nil && ex.cfg.Observer == nil
-	// The lean step resolves channels without the radio slot protocol;
-	// it cannot drive the NodeWorkers pool (and the conditions above
-	// already exclude per-slot observers), so those runs keep the full
-	// stepSlot. Either way the results are bit-identical.
-	lean := skipOK && ex.pool == nil
-	if lean {
-		// The lean steps read each node's pre-slot status from this
-		// mirror — maintained on every transition — instead of paying a
-		// Status interface call per node per slot. Status is a pure
-		// observer, so skipping redundant calls cannot perturb the run.
-		for _, id := range ex.active {
-			ex.prevStatus[id] = ex.nodes[id].Status()
+// nextWake returns node id's next wake slot at or after now. Nodes without
+// a Sleeper implementation wake every slot, which degenerates gracefully
+// to dense stepping for them alone.
+func (ex *execution) nextWake(id int, now int64) int64 {
+	if sl := ex.sleepers[id]; sl != nil {
+		if w := sl.NextActive(now); w >= now {
+			return w
 		}
 	}
+	return now
+}
 
+// runEvent is the event-calendar slot loop: advance, find the next
+// event, bulk-skip the gap, execute the wake slot, reschedule. Every
+// adversary call and node call happens in the dense loop's order.
+func (ex *execution) runEvent() (Metrics, error) {
+	maxSlots := ex.maxSlots()
+	// Range skipping needs the slots between wakes to be genuinely
+	// unobserved: an adaptive Eve senses every slot, and an Observer
+	// wants every slot reported, so either forces the engine to resolve
+	// each slot through the full stepSlot (idle nodes are still not
+	// stepped). The lean step needs the same conditions. Either way the
+	// results are bit-identical.
+	skipOK := ex.adaptive == nil && ex.cfg.Observer == nil
+
+	// The wheel and wake buffer are pooled on the execution: an Executor
+	// recycles them (and their heap capacity) across trials. NextActive
+	// is not idempotent — absorbing an iteration boundary redraws the
+	// gap — so each node's first wake is asked for exactly once, here.
 	if ex.wheel == nil {
 		ex.wheel = newEventWheel(ex.cfg.N)
 	} else {
@@ -389,7 +404,16 @@ func (ex *execution) runEvent() (Metrics, error) {
 	}
 	wheel := ex.wheel
 	for _, id := range ex.active {
-		wheel.push(ex.firstWakes[id], int32(id))
+		wheel.push(ex.nextWake(id, 0), int32(id))
+	}
+	if skipOK {
+		// The lean steps read each node's pre-slot status from this
+		// mirror — maintained on every transition — instead of paying a
+		// Status interface call per node per slot. Status is a pure
+		// observer, so skipping redundant calls cannot perturb the run.
+		for _, id := range ex.active {
+			ex.prevStatus[id] = ex.nodes[id].Status()
+		}
 	}
 	if cap(ex.awake) < ex.cfg.N {
 		ex.awake = make([]int, 0, ex.cfg.N)
@@ -442,7 +466,7 @@ func (ex *execution) runEvent() (Metrics, error) {
 		wheel.advance(cur)
 		awake = wheel.popSlot(cur, awake[:0])
 
-		if lean {
+		if skipOK {
 			if cur >= spanUntil {
 				spanChannels, spanUntil = ex.channelSpan(cur)
 			}
@@ -483,6 +507,70 @@ func (ex *execution) runEvent() (Metrics, error) {
 			return ex.metrics, nil
 		}
 		cur++
+	}
+}
+
+// skipRange charges Eve for the unexecuted slots [from, to), splitting the
+// range into constant-channel spans.
+func (ex *execution) skipRange(from, to int64) {
+	for from < to {
+		if ex.remaining <= 0 {
+			// Out of budget: the dense loop stops calling Fill entirely,
+			// so there is no strategy state (or RNG) left to advance.
+			return
+		}
+		channels, until := ex.channelSpan(from)
+		end := until
+		if end > to {
+			end = to
+		}
+		ex.chargeRange(from, end, channels)
+		from = end
+	}
+}
+
+// channelSpan returns the channel count at slot and the end of the span
+// over which it is known constant.
+func (ex *execution) channelSpan(slot int64) (int, int64) {
+	if ex.spanner != nil {
+		channels, until := ex.spanner.ChannelSpan(slot)
+		if until <= slot {
+			until = slot + 1
+		}
+		return channels, until
+	}
+	return ex.alg.Channels(slot), slot + 1
+}
+
+// chargeRange spends Eve's budget for skipped slots [from, to), all with
+// the same channel count. The aggregate path asks the strategy for its
+// ideal total and caps it at the remaining budget — the dense per-slot
+// spend min(count, remaining) telescopes to exactly that. Strategies
+// without SpendRange fall back to per-slot Fill against a scratch mask,
+// reproducing the dense loop's accounting call for call.
+func (ex *execution) chargeRange(from, to int64, channels int) {
+	if rs := ex.ranged; rs != nil {
+		spend := rs.SpendRange(from, to, channels)
+		if spend > ex.remaining {
+			spend = ex.remaining
+		}
+		ex.remaining -= spend
+		ex.net.ChargeEve(spend)
+		return
+	}
+	ex.mask.Grow(channels)
+	for s := from; s < to && ex.remaining > 0; s++ {
+		count := ex.adv.Fill(s, channels, ex.mask)
+		if count == 0 {
+			continue
+		}
+		ex.mask.Reset()
+		spend := int64(count)
+		if spend > ex.remaining {
+			spend = ex.remaining
+		}
+		ex.remaining -= spend
+		ex.net.ChargeEve(spend)
 	}
 }
 

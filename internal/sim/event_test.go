@@ -2,13 +2,39 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// TestEventWheelPopSlotOrders drives the wheel's chain-collection +
-// run-merge through the push orders that matter: already sorted,
-// interleaved ascending batches, and fully descending singletons (the
-// shape overflow migration produces).
+// checkAscending fails unless ids is strictly ascending and exactly the
+// set want.
+func checkAscending(t *testing.T, ids, want []int) {
+	t.Helper()
+	sorted := append([]int(nil), want...)
+	sort.Ints(sorted)
+	if len(ids) != len(sorted) {
+		t.Fatalf("popSlot returned %d ids, want %d (%v vs %v)", len(ids), len(sorted), ids, sorted)
+	}
+	for i := range ids {
+		if ids[i] != sorted[i] {
+			t.Fatalf("popSlot order wrong at %d: got %v, want %v", i, ids, sorted)
+		}
+		if i > 0 && ids[i] <= ids[i-1] {
+			t.Fatalf("popSlot not strictly ascending at %d: %v", i, ids)
+		}
+	}
+}
+
+// TestEventWheelPopSlotOrders drives every popSlot drain through the
+// push orders that matter: already sorted, interleaved ascending
+// batches, and fully descending singletons (the shape overflow
+// migration produces). Besides the one- and two-wake shortcuts, the
+// capacity-64 rows take the whole-bitmap readout; the capacity-2048
+// rows have an id bitmap wider than 16 words, so they take the span
+// readout or — when a handful of ids spans more than 4k+8 words — the
+// sorted fallback (popSlotSorted). A plain descending series 100 apart
+// spans only ~1.6 words per id, so its row adds one far outlier to
+// reach the fallback.
 func TestEventWheelPopSlotOrders(t *testing.T) {
 	const slot = int64(7)
 	push := func(w *eventWheel, ids ...int) {
@@ -16,46 +42,44 @@ func TestEventWheelPopSlotOrders(t *testing.T) {
 			w.push(slot, int32(id))
 		}
 	}
+	descending := func(from, step, to int) []int {
+		var ids []int
+		for id := from; id >= to; id -= step {
+			ids = append(ids, id)
+		}
+		return ids
+	}
 	cases := []struct {
-		name string
-		fill func(w *eventWheel) []int
+		name     string
+		capacity int
+		ids      []int // push order
 	}{
-		{"already-sorted", func(w *eventWheel) []int {
-			ids := []int{0, 1, 2, 3, 5, 8, 13, 21, 34}
-			push(w, ids...)
-			return ids
-		}},
-		{"two-interleaved-batches", func(w *eventWheel) []int {
-			a := []int{0, 3, 6, 9, 12, 15}
-			b := []int{1, 4, 7, 10, 13, 16}
-			push(w, a...)
-			push(w, b...)
-			return append(a, b...)
-		}},
-		{"descending-singletons", func(w *eventWheel) []int {
-			var ids []int
-			for id := 63; id >= 0; id-- {
-				push(w, id)
-				ids = append(ids, id)
-			}
-			return ids
-		}},
-		{"single", func(w *eventWheel) []int {
-			push(w, 42)
-			return []int{42}
-		}},
+		{"already-sorted", 64, []int{0, 1, 2, 3, 5, 8, 13, 21, 34}},
+		{"two-interleaved-batches", 64, []int{0, 3, 6, 9, 12, 15, 1, 4, 7, 10, 13, 16}},
+		{"descending-singletons", 64, descending(63, 1, 0)},
+		{"single", 64, []int{42}},
+		{"pair", 64, []int{9, 2}},
+		{"wide-span-readout", 2048, descending(2000, 100, 0)},
+		{"wide-scattered-sorted", 2048, []int{3000, 7, 1500, 2047}},
+		{"wide-descending-singletons-sorted", 2048, append([]int{4095}, descending(500, 100, 0)...)},
+		{"wide-interleaved-batches-sorted", 2048, []int{0, 1024, 4000, 5, 1030, 3990}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newEventWheel(64)
-			want := tc.fill(w)
+			w := newEventWheel(tc.capacity)
+			push(w, tc.ids...)
 			got := w.popSlot(slot, nil)
-			checkAscending(t, got, want)
+			checkAscending(t, got, tc.ids)
 			if w.size != 0 {
 				t.Fatalf("size = %d after draining, want 0", w.size)
 			}
 			if w.summary != 0 {
 				t.Fatalf("summary = %#x after draining, want 0", w.summary)
+			}
+			for i, word := range w.idbits {
+				if word != 0 {
+					t.Fatalf("idbits[%d] = %#x after draining, want 0", i, word)
+				}
 			}
 		})
 	}
@@ -127,7 +151,7 @@ func TestEventWheelOverflowMigration(t *testing.T) {
 // TestEventWheelRandomizedOracle cycles one wheel through many slot
 // generations — spread across multiple buckets per generation, with
 // resets interleaved — checking every pop against a sort oracle. The
-// chain array, bucket scratch, and merge scratch are all reused across
+// chain array, id bitmap, and overflow heap are all reused across
 // generations, exactly as in a pooled execution.
 func TestEventWheelRandomizedOracle(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))

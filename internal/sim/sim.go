@@ -4,19 +4,19 @@
 // paper's safety invariants, and collects the metrics the experiments
 // report.
 //
-// Three slot-loop implementations exist (Config.Engine): the dense
-// reference loop steps every non-halted node every slot; the sparse
-// fast path (sparse.go) uses the protocol.Sleeper contract to skip slots
-// in which no node acts, charging Eve for skipped jamming in aggregate;
-// and the event engine (event.go) replaces the 64-slot wake ring with a
-// global event calendar and resolves low-contention slots without the
-// radio bookkeeping. Node randomness follows the gap-draw discipline
-// (see protocol.Sleeper): each node pre-draws the geometric gap to its
-// next action, so idle slots consume no RNG in any engine — the dense
-// loop makes the identical gap draws through the shared node code, which
-// is what keeps the engines bit-identical by construction. All three
-// produce bit-identical Metrics; the dense loop is retained as the
-// equivalence oracle.
+// Two slot-loop implementations exist (Config.Engine): the dense
+// reference loop steps every non-halted node every slot, and the event
+// engine (event.go) uses the protocol.Sleeper contract to keep node
+// wakes in a global event calendar, skipping slots in which no node acts
+// (charging Eve for skipped jamming in aggregate) and resolving wake
+// slots without the radio bookkeeping. Node randomness follows the
+// gap-draw discipline (see protocol.Sleeper): each node pre-draws the
+// geometric gap to its next action, so idle slots consume no RNG in
+// either engine — the dense loop makes the identical gap draws through
+// the shared node code, which is what keeps the engines bit-identical by
+// construction. Both produce bit-identical Metrics; the event engine is
+// what Auto runs, and the dense loop is retained as the equivalence
+// oracle.
 //
 // One goroutine drives one execution; statistical replication (parallel
 // seeded trials, sharding, streaming sinks) is the job of
@@ -43,42 +43,37 @@ import (
 type Engine uint8
 
 const (
-	// EngineAuto (the zero value) picks a skip-capable engine when every
-	// node implements protocol.Sleeper, the adversary is oblivious, and no
-	// Observer is attached — Event when the schedule is low-density (mean
-	// first-wake gap ≥ eventAutoGap), Sparse otherwise — and falls back to
-	// Dense when those conditions fail.
+	// EngineAuto (the zero value) runs the event engine. It needs no
+	// preconditions — non-Sleeper nodes simply wake every slot, and an
+	// adaptive Eve or an Observer turns off range skipping — and it
+	// measured faster than the dense loop on every workload the CLIs and
+	// the scenario registry build (docs/PERFORMANCE.md).
 	EngineAuto Engine = iota
 	// EngineDense is the reference implementation: every non-halted node
 	// is stepped in every slot. It is retained as the equivalence oracle
-	// for the fast paths.
+	// for the event engine and runs only when asked for.
 	EngineDense
-	// EngineSparse runs the wake-list fast path: nodes that declare their
-	// next non-idle slot via protocol.Sleeper are skipped in bulk, and
-	// slot ranges in which no node acts are fast-forwarded with aggregate
-	// adversary accounting. Executions are bit-identical to EngineDense;
-	// adaptive adversaries and Observers disable range skipping (every
-	// slot still resolves) but idle nodes are still not stepped.
-	EngineSparse
 	// EngineEvent runs the global event-calendar loop (event.go): wakes
-	// live in a 4096-slot calendar keyed by the next network event, and
-	// slots with no contention for the engine's bookkeeping resolve
-	// through a lean step that bypasses the radio.Network slot machinery
-	// (energy metering still lands in the network's meters). Executions
-	// are bit-identical to EngineDense; the same degradations as
-	// EngineSparse apply to adaptive adversaries and Observers.
+	// live in a 4096-slot calendar keyed by the next network event, slot
+	// ranges in which no node acts are fast-forwarded with aggregate
+	// adversary accounting, and wake slots resolve through a lean step
+	// that bypasses the radio.Network slot machinery (energy metering
+	// still lands in the network's meters). Executions are bit-identical
+	// to EngineDense; adaptive adversaries and Observers disable range
+	// skipping and the lean step (every slot still resolves) but idle
+	// nodes are still not stepped.
 	EngineEvent
 )
 
-// ParseEngine resolves an engine name ("auto", "dense", "sparse",
-// "event", case-insensitive) to an Engine.
+// ParseEngine resolves an engine name ("auto", "dense", "event",
+// case-insensitive) to an Engine.
 func ParseEngine(s string) (Engine, error) {
-	for _, e := range []Engine{EngineAuto, EngineDense, EngineSparse, EngineEvent} {
+	for _, e := range []Engine{EngineAuto, EngineDense, EngineEvent} {
 		if strings.EqualFold(s, e.String()) {
 			return e, nil
 		}
 	}
-	return EngineAuto, fmt.Errorf("sim: unknown engine %q (have auto, dense, sparse, event)", s)
+	return EngineAuto, fmt.Errorf("sim: unknown engine %q (have auto, dense, event)", s)
 }
 
 // String returns the engine name.
@@ -88,8 +83,6 @@ func (e Engine) String() string {
 		return "auto"
 	case EngineDense:
 		return "dense"
-	case EngineSparse:
-		return "sparse"
 	case EngineEvent:
 		return "event"
 	default:
@@ -117,24 +110,16 @@ type Config struct {
 	// slows the hot loop; leave nil for measurements.
 	Observer Observer
 	// Engine selects the slot-loop implementation; the zero value (Auto)
-	// uses the sparse fast path whenever it applies. Dense and Sparse
-	// produce bit-identical Metrics for every configuration.
+	// runs the event engine. Dense and Event produce bit-identical
+	// Metrics for every configuration.
 	Engine Engine
 	// Interrupt, if non-nil, aborts the execution with ErrInterrupted
-	// shortly after the channel is closed. Both engines poll it every
-	// interruptStride slots (and the sparse engine once per wake), so
-	// the hot loop pays nothing measurable for it. The trial runner
-	// wires a context's Done channel here to cancel in-flight work.
+	// shortly after the channel is closed. The dense loop polls it every
+	// interruptStride slots and the event loop every interruptStride
+	// iterations (each at least one slot), so the hot loop pays nothing
+	// measurable for it. The trial runner wires a context's Done channel
+	// here to cancel in-flight work.
 	Interrupt <-chan struct{}
-	// NodeWorkers partitions each slot's node-stepping phases across this
-	// many goroutines (0 or 1: serial, today's behavior). The reduction is
-	// deterministic — per-partition buffers merge in ascending node id
-	// order — so Metrics are bit-identical for every worker count, on
-	// either engine. Worth it only when many nodes act per slot (large N,
-	// dense engine, or high-activity workloads); the sparse engine's
-	// typical few-woken-nodes slots gain nothing. Negative values are
-	// rejected.
-	NodeWorkers int
 }
 
 // DefaultMaxSlots bounds runaway executions (~1.3·10⁸ slots).
@@ -252,8 +237,8 @@ func Run(cfg Config) (Metrics, error) {
 }
 
 // Executor is a reusable execution context: one Executor runs many trials
-// back to back, recycling the node table, wake ring, network meters, and
-// metric buffers, so a steady-state trial allocates only what the
+// back to back, recycling the node table, event wheel, network meters,
+// and metric buffers, so a steady-state trial allocates only what the
 // algorithm's per-trial node constructors need — the slot loop itself
 // allocates nothing (pinned by TestSlotLoopAllocFree). The zero value is
 // ready to use. An Executor is not safe for concurrent use; the trial
@@ -296,8 +281,7 @@ type execution struct {
 	prefix   adversary.PrefixJammer // non-nil iff adv jams deterministic channel prefixes
 	activity []adversary.Activity   // reusable observation buffer
 
-	spanner     protocol.ChannelSpanner // non-nil iff alg exposes channel spans
-	allSleepers bool                    // every node implements protocol.Sleeper
+	spanner protocol.ChannelSpanner // non-nil iff alg exposes channel spans
 
 	net       *radio.Network
 	mask      *bitset.Set
@@ -309,22 +293,15 @@ type execution struct {
 	prevStatus  []protocol.Status
 	transitions []transition
 
-	ring  *wakeRing // sparse engine's wake list, recycled across trials
-	awake []int     // sparse/event engines' per-slot wake buffer
-
-	wheel      *eventWheel        // event engine's calendar, recycled across trials
-	firstWakes []int64            // one-shot NextActive(0) results, indexed by id
-	haveWakes  bool               // firstWakes is valid for this trial
-	bcasts     []pendingBroadcast // lean step's broadcast buffer
-	listens    []pendingListen    // lean step's listener buffer
+	wheel   *eventWheel        // event engine's calendar, recycled across trials
+	awake   []int              // event engine's per-slot wake buffer
+	bcasts  []pendingBroadcast // lean step's broadcast buffer
+	listens []pendingListen    // lean step's listener buffer
 
 	// forkBuf is the scratch stream handed to NewNode: seeding it in
 	// place is state-identical to root.Fork() without the allocation
 	// (nodes copy the Source value per the protocol contract).
 	forkBuf rng.Source
-
-	pool      *nodePool // non-nil while a NodeWorkers > 1 run is in flight
-	poolCache *nodePool // retired pool kept so its buffers recycle across trials
 
 	informedCount int
 	helperSeen    bool
@@ -349,9 +326,6 @@ func (ex *execution) reset(cfg Config) error {
 	}
 	if cfg.Engine > EngineEvent {
 		return fmt.Errorf("sim: unknown engine %v", cfg.Engine)
-	}
-	if cfg.NodeWorkers < 0 {
-		return fmt.Errorf("sim: negative NodeWorkers %d", cfg.NodeWorkers)
 	}
 	alg, err := cfg.Algorithm()
 	if err != nil {
@@ -380,8 +354,6 @@ func (ex *execution) reset(cfg Config) error {
 	ex.sleepers = growSlice(ex.sleepers, cfg.N)
 	ex.prevStatus = growSlice(ex.prevStatus, cfg.N)
 	ex.active = growSlice(ex.active, cfg.N)[:0]
-	ex.allSleepers = true
-	ex.haveWakes = false
 	for id := 0; id < cfg.N; id++ {
 		// Seeding the scratch stream from root's next draw is exactly
 		// root.Fork() without the allocation; NewNode copies the value.
@@ -392,9 +364,6 @@ func (ex *execution) reset(cfg Config) error {
 			ex.informedCount++
 		}
 		ex.sleepers[id], _ = ex.nodes[id].(protocol.Sleeper)
-		if ex.sleepers[id] == nil {
-			ex.allSleepers = false
-		}
 	}
 	ex.spanner, _ = alg.(protocol.ChannelSpanner)
 	// The paper's theorems assume an oblivious Eve; adaptive strategies
@@ -429,89 +398,14 @@ func growSlice[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// run dispatches to the selected engine. Both engines produce bit-identical
-// Metrics; the dense loop is the reference semantics, the sparse loop the
-// fast path (see sparse.go). With NodeWorkers > 1 the stepping pool's
-// goroutines live exactly as long as the run — started here, joined on
-// every return path — so executions never leak workers.
+// run dispatches to the selected engine: dense when asked for, the
+// event engine otherwise (Auto included). Both produce bit-identical
+// Metrics; the dense loop is the reference semantics.
 func (ex *execution) run() (Metrics, error) {
-	if ex.cfg.NodeWorkers > 1 {
-		ex.startPool()
-		defer ex.stopPool()
-	}
-	switch ex.resolveEngine() {
-	case EngineDense:
+	if ex.cfg.Engine == EngineDense {
 		return ex.runDense()
-	case EngineEvent:
-		ex.collectFirstWakes()
-		return ex.runEvent()
-	default:
-		ex.collectFirstWakes()
-		return ex.runSparse()
 	}
-}
-
-// eventAutoGap is the Auto heuristic's crossover: when the mean gap to
-// the nodes' first wakes is at least this many slots, the schedule is
-// low-density and the event calendar wins; below it the sparse ring's
-// smaller window is just as good and cheaper to reset.
-// BenchmarkWakeStructures measures both structures across densities
-// (see bench_test.go); the calendar's advantage appears once wake gaps
-// regularly overflow the sparse ring's 64-slot window, so the crossover
-// is set well below that scale to capture the gentle slopes too.
-const eventAutoGap = 4.0
-
-// resolveEngine maps Auto to a concrete engine. A skip-capable engine is
-// chosen when it can actually skip: every node declares its wake slots,
-// the adversary is oblivious (an adaptive Eve observes every slot,
-// forcing per-slot stepping), and no Observer wants per-slot callbacks.
-// Among the skip engines, Event is picked for low-density schedules
-// (mean first-wake gap ≥ eventAutoGap) and Sparse otherwise. An explicit
-// Engine choice is honoured as-is — the skip engines degrade gracefully
-// to per-slot stepping where those conditions fail, and stay
-// bit-identical.
-func (ex *execution) resolveEngine() Engine {
-	if ex.cfg.Engine != EngineAuto {
-		return ex.cfg.Engine
-	}
-	if ex.allSleepers && ex.adaptive == nil && ex.cfg.Observer == nil {
-		if ex.meanFirstGap() >= eventAutoGap {
-			return EngineEvent
-		}
-		return EngineSparse
-	}
-	return EngineDense
-}
-
-// collectFirstWakes captures every node's NextActive(0) exactly once per
-// trial. NextActive is not idempotent — absorbing an iteration boundary
-// redraws the gap — so the Auto heuristic and the engine's wake-list
-// seeding must share one collection pass.
-func (ex *execution) collectFirstWakes() {
-	if ex.haveWakes {
-		return
-	}
-	ex.firstWakes = growSlice(ex.firstWakes, ex.cfg.N)
-	for id := 0; id < ex.cfg.N; id++ {
-		ex.firstWakes[id] = ex.nextWake(id, 0)
-	}
-	ex.haveWakes = true
-}
-
-// meanFirstGap estimates the schedule's wake density from the first-wake
-// gaps, clamping each gap so the degenerate never-wakes sentinel
-// (rng.MaxGap) cannot overflow the sum.
-func (ex *execution) meanFirstGap() float64 {
-	ex.collectFirstWakes()
-	const clamp = int64(1) << 20
-	var sum int64
-	for _, w := range ex.firstWakes[:ex.cfg.N] {
-		if w > clamp {
-			w = clamp
-		}
-		sum += w
-	}
-	return float64(sum) / float64(ex.cfg.N)
+	return ex.runEvent()
 }
 
 func (ex *execution) maxSlots() int64 {
@@ -556,7 +450,7 @@ func (ex *execution) runDense() (Metrics, error) {
 }
 
 // stepSlot advances one slot of the execution, stepping exactly the nodes
-// in ids. The dense engine passes every non-halted node; the sparse engine
+// in ids. The dense engine passes every non-halted node; the event engine
 // passes the awake subset, whose sleeping peers are guaranteed idle and
 // transition-free this slot (the protocol.Sleeper contract). ids must be
 // in ascending id order. When maintainActive is set, ids must alias
@@ -589,21 +483,17 @@ func (ex *execution) stepSlot(slot int64, ids []int, maintainActive bool) {
 	ex.listeners = ex.listeners[:0]
 	ex.channels = ex.channels[:0]
 	broadcasters := 0
-	if ex.pool != nil && len(ids) > 0 {
-		broadcasters = ex.pool.phase1(slot, ids)
-	} else {
-		for _, id := range ids {
-			nd := ex.nodes[id]
-			ex.prevStatus[id] = nd.Status()
-			act := nd.Step(slot)
-			switch act.Kind {
-			case protocol.Broadcast:
-				ex.net.Broadcast(id, act.Channel, act.Payload)
-				broadcasters++
-			case protocol.Listen:
-				ex.listeners = append(ex.listeners, id)
-				ex.channels = append(ex.channels, act.Channel)
-			}
+	for _, id := range ids {
+		nd := ex.nodes[id]
+		ex.prevStatus[id] = nd.Status()
+		act := nd.Step(slot)
+		switch act.Kind {
+		case protocol.Broadcast:
+			ex.net.Broadcast(id, act.Channel, act.Payload)
+			broadcasters++
+		case protocol.Listen:
+			ex.listeners = append(ex.listeners, id)
+			ex.channels = append(ex.channels, act.Channel)
 		}
 	}
 
@@ -621,10 +511,7 @@ func (ex *execution) stepSlot(slot int64, ids []int, maintainActive bool) {
 
 	// Phase 3: end-of-slot bookkeeping and status transitions.
 	ex.transitions = ex.transitions[:0]
-	switch {
-	case ex.pool != nil && len(ids) > 0:
-		ex.pool.phase3(slot, ids, maintainActive)
-	case maintainActive:
+	if maintainActive {
 		// ids aliases ex.active; the rebuild writes behind the read
 		// cursor, so the in-place filter is safe.
 		out := ex.active[:0]
@@ -640,7 +527,7 @@ func (ex *execution) stepSlot(slot int64, ids []int, maintainActive bool) {
 			}
 		}
 		ex.active = out
-	default:
+	} else {
 		for _, id := range ids {
 			nd := ex.nodes[id]
 			nd.EndSlot(slot)

@@ -179,7 +179,7 @@ func TestInterruptAborts(t *testing.T) {
 	// long before the jammed execution would end on its own.
 	interrupt := make(chan struct{})
 	close(interrupt)
-	for _, eng := range []Engine{EngineDense, EngineSparse} {
+	for _, eng := range []Engine{EngineDense, EngineEvent} {
 		m, err := Run(Config{
 			N: 64, Algorithm: mcCore(64, 1<<40),
 			Adversary: adversary.FullBurst(0), Budget: 1 << 40,

@@ -39,21 +39,17 @@ type Adversary = adversary.Factory
 type Engine = sim.Engine
 
 const (
-	// EngineAuto (default) picks the sparse fast path when it applies.
+	// EngineAuto (default) runs the event engine.
 	EngineAuto = sim.EngineAuto
 	// EngineDense steps every node every slot (reference implementation).
 	EngineDense = sim.EngineDense
-	// EngineSparse skips slots in which no node acts. Bit-identical to
-	// EngineDense for every configuration.
-	EngineSparse = sim.EngineSparse
 	// EngineEvent jumps a global event calendar to the next slot in which
 	// any node acts, charging Eve for skipped ranges in closed form.
 	// Bit-identical to EngineDense for every configuration.
 	EngineEvent = sim.EngineEvent
 )
 
-// ParseEngine resolves an engine name ("auto", "dense", "sparse",
-// "event").
+// ParseEngine resolves an engine name ("auto", "dense", "event").
 func ParseEngine(s string) (Engine, error) { return sim.ParseEngine(s) }
 
 // ErrMaxSlots reports that an execution hit the MaxSlots safety valve.
@@ -119,11 +115,6 @@ type Config struct {
 	Observer Observer
 	// Engine selects the slot-loop implementation (default: EngineAuto).
 	Engine Engine
-	// NodeWorkers partitions each slot's node stepping across this many
-	// goroutines (0 or 1: serial). Results are bit-identical for every
-	// worker count; worth it only when many nodes act per slot (large N
-	// or the dense engine).
-	NodeWorkers int
 }
 
 // workload converts the public Config to the internal workload
@@ -153,7 +144,6 @@ func (cfg Config) build() (sim.Config, error) {
 	}
 	sc.Observer = cfg.Observer
 	sc.Engine = cfg.Engine
-	sc.NodeWorkers = cfg.NodeWorkers
 	return sc, nil
 }
 
