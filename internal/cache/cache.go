@@ -9,30 +9,42 @@
 //
 // The store inherits the campaign artifact layer's integrity
 // discipline — every entry carries a schema version and a content
-// checksum over its compact JSON encoding, and writes are atomic
-// (write-then-rename) — but inverts its failure posture: an artifact
-// that fails its checksum is an ErrCorruptArtifact the operator must
-// see, while a cache entry that is missing, truncated, bit-flipped,
-// mis-keyed, or from another schema version is silently a miss. A
-// cache can only ever cost a re-simulation, never a wrong answer and
-// never a failed campaign; the byte-identity contracts are enforced by
-// the checksum refusing any damaged entry, not by trusting the disk.
+// checksum over its compact JSON encoding — but inverts its failure
+// posture: an artifact that fails its checksum is an
+// ErrCorruptArtifact the operator must see, while a cache entry that
+// is missing, truncated, bit-flipped, mis-keyed, or from another schema
+// version is silently a miss. A cache can only ever cost a
+// re-simulation, never a wrong answer and never a failed campaign; the
+// byte-identity contracts are enforced by the checksum refusing any
+// damaged entry, not by trusting the disk.
 //
-// Layout under the cache directory: entries live at
-// <key[:2]>/<key[2:]>.json (256-way fan-out keeps directories small at
-// campaign scale). Entries are immutable once written — eviction is
-// the operator deleting files (or the whole directory), which reads as
-// misses, and a schema bump orphans old entries by changing every key.
+// Layout under the cache directory: append-only segment files, *.seg.
+// Each Store appends every Put as one newline-terminated record — the
+// entry's compact JSON — to a segment it creates on its first write,
+// under a name no other Store or process uses, so no two writers ever
+// share a file. Open indexes every segment in the directory by key,
+// from complete lines only: a torn tail left by a crash mid-append, or
+// any other line without a readable key, is skipped, and the last
+// record for a key wins. Eviction is the operator deleting segments (or
+// the whole directory), which reads as misses, and a schema bump
+// orphans old records by changing every key. Entries of the former
+// one-file-per-cell layout (<key[:2]>/<key[2:]>.json) are ignored.
 package cache
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
+	"time"
 
 	"multicast/internal/campaign"
 	"multicast/internal/jsonenc"
@@ -63,9 +75,9 @@ func Key(label, workload string, seed uint64) string {
 
 // entry is the on-disk cache record. Checksum is the hex sha256 of the
 // entry's compact JSON encoding with the Checksum field empty — the
-// campaign artifact discipline. Key is stored redundantly so a file
-// renamed into the wrong address reads as a miss, not as another
-// cell's result.
+// campaign artifact discipline. Key is stored in full because the
+// index addresses records by a key prefix: a record found under another
+// key's address reads as a miss, not as another cell's result.
 type entry struct {
 	SchemaVersion int         `json:"schema_version"`
 	Checksum      string      `json:"checksum"`
@@ -147,19 +159,74 @@ func (e *entry) checksum() (string, error) {
 // integer at its widest.
 const entrySize = 1024
 
-// Store is one on-disk cell result cache rooted at a directory.
-// Load and Put are safe for concurrent use from any number of
-// goroutines or processes: entries are immutable, written atomically,
-// and verified on read, so the worst concurrent outcome is two workers
-// writing the same bytes to the same address.
-type Store struct {
-	dir string
+// segExt names the segment files Open indexes; anything else in the
+// cache directory is ignored.
+const segExt = ".seg"
+
+// scanBuf is Open's read buffer. A line longer than it cannot be a
+// record (an entry fits in entrySize), so the scan skips it whole.
+const scanBuf = 64 << 10
+
+// keyField precedes the key in a record; keyPrefix reads the digits
+// after it.
+var keyField = []byte(`,"key":"`)
+
+// keyPrefix decodes the first 16 hex digits of a key — its first 8
+// bytes, the index address. Key writes lower-case hex, so anything else
+// is malformed.
+func keyPrefix[T string | []byte](key T) (uint64, bool) {
+	if len(key) < 16 {
+		return 0, false
+	}
+	var p uint64
+	for i := 0; i < 16; i++ {
+		c := key[i]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		default:
+			return 0, false
+		}
+		p = p<<4 | uint64(c)
+	}
+	return p, true
 }
 
-// Open roots a store at dir, creating the directory if needed. This is
-// the only call that surfaces filesystem errors eagerly — an unusable
-// cache directory is an operator mistake worth naming, while individual
-// damaged entries later are just misses.
+// record locates one record: segment (an index into Store.segs), byte
+// offset, and length including the newline. The int32 fields keep an
+// index entry at 16 bytes; the index is the cache's whole memory cost.
+type record struct {
+	seg int32
+	n   int32
+	off int64
+}
+
+// Store is one on-disk cell result cache rooted at a directory: an
+// in-memory index over the segments found there at Open, plus the one
+// segment this Store appends its own Puts to. Load and Put are safe
+// for concurrent use from any number of goroutines, and any number of
+// Stores, in one process or many, may share a directory. A record
+// another Store writes after this one's Open is a miss here until the
+// directory is opened again. No file stays open between calls, so a
+// Store needs no closing.
+type Store struct {
+	dir string
+
+	// mu orders Put's appends and every index access.
+	mu    sync.Mutex
+	segs  []string          // segment paths: scanned at Open, then created by Put
+	index map[uint64]record // key prefix (first 8 bytes) → its last record
+	own   int               // this Store's segment in segs; -1 until its first Put
+	end   int64             // size of the own segment: the next record's offset
+}
+
+// Open roots a store at dir, creating the directory if needed, and
+// indexes every segment in it. This is the only call that surfaces
+// filesystem errors eagerly — an unusable cache directory is an
+// operator mistake worth naming, while an unreadable segment or a
+// damaged record is skipped here and read as a miss later.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cache: directory required")
@@ -167,27 +234,96 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("cache: %w", err)
+	}
+	s := &Store{dir: dir, index: make(map[uint64]record), own: -1}
+	var r *bufio.Reader
+	for _, e := range ents {
+		if e.IsDir() || filepath.Ext(e.Name()) != segExt {
+			continue
+		}
+		if r == nil {
+			r = bufio.NewReaderSize(nil, scanBuf)
+		}
+		s.segs = append(s.segs, filepath.Join(dir, e.Name()))
+		s.scan(int32(len(s.segs)-1), r)
+	}
+	return s, nil
+}
+
+// scan indexes the complete lines of segment seg that carry a readable
+// key prefix, reading through r. Nothing is decoded or verified here;
+// Load does that for the one record it reads.
+func (s *Store) scan(seg int32, r *bufio.Reader) {
+	f, err := os.Open(s.segs[seg])
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	r.Reset(f)
+	var off int64
+	long := false // inside a line longer than scanBuf
+	for {
+		line, err := r.ReadSlice('\n')
+		switch {
+		case err == bufio.ErrBufferFull:
+			long = true
+		case err != nil:
+			return // EOF or a read error; a torn tail is never indexed
+		case long:
+			long = false
+		default:
+			if i := bytes.Index(line, keyField); i >= 0 {
+				if p, ok := keyPrefix(line[i+len(keyField):]); ok {
+					s.index[p] = record{seg: seg, n: int32(len(line)), off: off}
+				}
+			}
+		}
+		off += int64(len(line))
+	}
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// EntryPath returns the on-disk path of the entry addressed by key —
-// exported so tests and chaos drills can truncate or bit-flip the exact
-// file a campaign will consult.
-func (s *Store) EntryPath(key string) string {
-	return filepath.Join(s.dir, key[:2], key[2:]+".json")
+// Locate returns where the record Load consults for key lives: its
+// segment's path, byte offset and length (newline included); ok is
+// false when none is indexed. Exported so tests and chaos drills can
+// damage the exact record a campaign will consult.
+func (s *Store) Locate(key string) (path string, off int64, n int, ok bool) {
+	p, ok := keyPrefix(key)
+	if !ok {
+		return "", 0, 0, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, ok := s.index[p]
+	if !ok {
+		return "", 0, 0, false
+	}
+	return s.segs[rec.seg], rec.off, int(rec.n), true
 }
 
 // Load returns the metrics cached under key. Every failure mode —
-// missing file, unreadable file, truncated or otherwise undecodable
-// JSON, wrong schema version, mis-keyed entry, checksum mismatch — is
-// reported as a miss (ok == false) and never an error: a damaged cache
-// may cost a re-simulation but can never fail a campaign or corrupt a
-// result.
+// nothing indexed, missing or unreadable segment, truncated or
+// otherwise undecodable record, wrong schema version, another key's
+// record, checksum mismatch — is reported as a miss (ok == false) and
+// never an error: a damaged cache may cost a re-simulation but can
+// never fail a campaign or corrupt a result.
 func (s *Store) Load(key string) (m sim.Metrics, ok bool) {
-	data, err := os.ReadFile(s.EntryPath(key))
+	path, off, n, ok := s.Locate(key)
+	if !ok {
+		return sim.Metrics{}, false
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return sim.Metrics{}, false
+	}
+	data := make([]byte, n)
+	_, err = f.ReadAt(data, off)
+	f.Close()
 	if err != nil {
 		return sim.Metrics{}, false
 	}
@@ -205,12 +341,18 @@ func (s *Store) Load(key string) (m sim.Metrics, ok bool) {
 	return e.Metrics, true
 }
 
-// Put records m under key, atomically (write to a same-directory temp
-// file, then rename), so a crash mid-write leaves either the previous
-// entry or none — never a torn one for Load to trip over. Errors are
-// returned for observability, but callers treat them as non-fatal: a
-// cache that cannot be written is just a cache that will miss.
+// Put records m under key by appending one record to the store's own
+// segment, which the first Put creates. A crash mid-append leaves at
+// worst a torn last line, which no Open indexes; a failed append also
+// retires the segment, so the next Put starts a fresh one rather than
+// writing after a possibly torn line. Errors are returned for
+// observability, but callers treat them as non-fatal: a cache that
+// cannot be written is just a cache that will miss.
 func (s *Store) Put(key string, m sim.Metrics) error {
+	p, ok := keyPrefix(key)
+	if !ok {
+		return fmt.Errorf("cache: malformed key %q", key)
+	}
 	e := entry{SchemaVersion: SchemaVersion, Key: key, Metrics: m}
 	data, at, err := e.appendJSON(make([]byte, 0, entrySize))
 	if err != nil {
@@ -218,17 +360,54 @@ func (s *Store) Put(key string, m sim.Metrics) error {
 	}
 	data = jsonenc.SpliceChecksum(data, at)
 	data = append(data, '\n')
-	path := s.EntryPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.append(data); err != nil {
+		s.own = -1
 		return fmt.Errorf("cache: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cache: %w", err)
-	}
+	s.index[p] = record{seg: int32(s.own), n: int32(len(data)), off: s.end}
+	s.end += int64(len(data))
 	return nil
+}
+
+// append writes rec at the end of the own segment, creating one first
+// if there is none. The caller holds s.mu.
+func (s *Store) append(rec []byte) error {
+	var f *os.File
+	var err error
+	if s.own < 0 {
+		f, err = s.create()
+	} else {
+		f, err = os.OpenFile(s.segs[s.own], os.O_WRONLY|os.O_APPEND, 0)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(rec)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// create makes a new, empty own segment. Its name — creation time,
+// process id, attempt — sorts segments in creation order, so a record
+// re-stored after damage outranks the damaged one at the next Open;
+// O_EXCL guarantees no other writer holds the same file.
+func (s *Store) create() (*os.File, error) {
+	for attempt := 0; ; attempt++ {
+		path := filepath.Join(s.dir, fmt.Sprintf("%020d-%d-%d%s",
+			time.Now().UnixNano(), os.Getpid(), attempt, segExt))
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, fs.ErrExist) && attempt < 100 {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.segs = append(s.segs, path)
+		s.own, s.end = len(s.segs)-1, 0
+		return f, nil
+	}
 }

@@ -151,7 +151,7 @@ func assertSameStats(t testing.TB, got, want *campaign.Summary) {
 }
 
 // warmTamperedCache returns a result cache pre-warmed by a clean k-way
-// driven run and then damaged — one entry truncated mid-file — the
+// driven run and then damaged — one record's checksum overwritten — the
 // shape a faulted campaign meets in the field: mostly replayable,
 // partly broken. With cached false it returns nil, the matrix's
 // cache-free column.
@@ -174,16 +174,31 @@ func warmTamperedCache(t *testing.T, k int, cached bool) *cache.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := cache.Key(spec.Template.Points[0].Label, spec.Template.Points[0].Workload, grid.Seed(0))
-	path := store.EntryPath(key)
-	data, err := os.ReadFile(path)
+	tamperRecord(t, store, cache.Key(spec.Template.Points[0].Label, spec.Template.Points[0].Workload, grid.Seed(0)))
+	return store
+}
+
+// tamperRecord overwrites, in place, the first checksum digit of the
+// cache record a campaign will consult for key — damage to that one
+// record only, where a truncation would take every later record in the
+// segment with it. A record begins {"schema_version":1,"checksum":" (32
+// bytes), and 'x' is never a hex digit.
+func tamperRecord(t *testing.T, store *cache.Store, key string) {
+	t.Helper()
+	path, off, _, ok := store.Locate(key)
+	if !ok {
+		t.Fatalf("no cache record for key %s", key)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+	if _, err := f.WriteAt([]byte("x"), off+32); err != nil {
 		t.Fatal(err)
 	}
-	return store
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func wantNil(t *testing.T, k int, err error) {

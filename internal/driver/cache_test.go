@@ -118,21 +118,13 @@ func TestDriveCacheCorruptEntryResimulated(t *testing.T) {
 	spec := testSpec(6)
 	cold, _, _ := cacheRun(t, spec, ScheduleStatic, store)
 
-	// Truncate cell 0's entry to half — an unambiguous miss (bit flips
-	// in key-name bytes can decode identically; truncation cannot).
+	// Damage cell 0's checksum — an unambiguous miss (bit flips in
+	// key-name bytes can decode identically; a wrong checksum cannot).
 	grid, err := runner.NewGrid(spec.Points, spec.Trials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := cache.Key(spec.Template.Points[0].Label, spec.Template.Points[0].Workload, grid.Seed(0))
-	path := store.EntryPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tamperRecord(t, store, cache.Key(spec.Template.Points[0].Label, spec.Template.Points[0].Workload, grid.Seed(0)))
 
 	warm, hits, misses := cacheRun(t, spec, ScheduleSteal, store)
 	if hits != 11 || misses != 1 {
@@ -144,6 +136,29 @@ func TestDriveCacheCorruptEntryResimulated(t *testing.T) {
 	// The miss re-stored the entry: a third run hits every cell again.
 	if _, hits, misses := cacheRun(t, spec, ScheduleStatic, store); hits != 12 || misses != 0 {
 		t.Fatalf("third run: %d hits, %d misses, want 12/0", hits, misses)
+	}
+}
+
+// tamperRecord overwrites, in place, the first checksum digit of the
+// cache record a campaign will consult for key — damage to that one
+// record only, where a truncation would take every later record in the
+// segment with it. A record begins {"schema_version":1,"checksum":" (32
+// bytes), and 'x' is never a hex digit.
+func tamperRecord(t *testing.T, store *cache.Store, key string) {
+	t.Helper()
+	path, off, _, ok := store.Locate(key)
+	if !ok {
+		t.Fatalf("no cache record for key %s", key)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("x"), off+32); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
