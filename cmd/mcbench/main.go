@@ -9,9 +9,9 @@
 //	mcbench -run E3,E9        run a subset
 //	mcbench -quick            trimmed sweeps (~2 minutes)
 //	mcbench -markdown         emit GitHub-flavoured markdown (for EXPERIMENTS.md)
-//	mcbench -bench-sim BENCH_sim.json           measure the dense and event engines
+//	mcbench -bench-sim BENCH_sim.json           measure the dense and event engines (full and quick baselines)
 //	mcbench -bench-sim out.json -quick          engine-benchmark smoke run (CI)
-//	mcbench -check BENCH_sim.json -quick        perf-regression gate against the committed report
+//	mcbench -check BENCH_sim.json -quick        perf-regression gate against the committed quick baseline
 //	mcbench -check BENCH_sim.json -tolerance 0.85   …with an explicit regression floor
 //	mcbench -matrix                             engine matrix: algorithms × engines × densities
 //	mcbench -matrix -matrix-out matrix.json     …and write the rows as JSON
@@ -47,7 +47,7 @@ func run() int {
 		markdown   = flag.Bool("markdown", false, "emit markdown tables")
 		csv        = flag.Bool("csv", false, "emit CSV tables (no claims/notes)")
 		benchSim   = flag.String("bench-sim", "", "measure dense/event engine throughput and write the JSON report to this path (e.g. BENCH_sim.json), then exit")
-		checkPath  = flag.String("check", "", "re-measure the engine scenario and fail if it regressed past -tolerance of this committed report (the CI perf gate), then exit")
+		checkPath  = flag.String("check", "", "re-measure the frozen engine legs and fail if one regressed past -tolerance of this committed report, quick against quick (the CI perf gate), then exit")
 		tolerance  = flag.Float64("tolerance", 0.85, "with -check: fraction of each committed ratio head must retain (>1 demands head be faster — used to smoke-test the gate)")
 		matrix     = flag.Bool("matrix", false, "run the engine benchmark matrix (algorithms × engines × densities) and exit")
 		matOut     = flag.String("matrix-out", "", "with -matrix: also write the rows as JSON to this path")

@@ -71,7 +71,8 @@
 // The two engines produce bit-identical Metrics for every configuration
 // and seed; the equivalence matrix and fuzz tests in internal/sim enforce
 // this, and `mcbench -bench-sim BENCH_sim.json` tracks the event/dense
-// speedup on the low-density MultiCastCore scenario (about 10×).
+// speedup on two frozen legs: the low-density MultiCastCore scenario
+// (about 9×) and MultiCast at n = 64, T = 2000 (about 1.6×).
 // `mcbench -matrix` measures the whole
 // algorithms × engines × densities grid.
 //

@@ -110,11 +110,14 @@ func Reactive(maxFraction float64) Factory {
 
 // camper locks onto channels that recently delivered a message and camps
 // on them for dwell slots — a "follower" jammer chasing successful
-// rendezvous points.
+// rendezvous points. Expiry is lazy: a channel whose dwell has run out
+// stays tracked, and counts against maxChans, until the next Fill drops
+// it.
 type camper struct {
 	dwell    int64
 	maxChans int
-	expiry   map[int]int64 // channel → last slot to jam
+	tracked  []int   // tracked channels, in no particular order
+	expiry   []int64 // expiry[ch]: last slot to jam ch; 0 iff ch is untracked
 }
 
 func (s *camper) Name() string {
@@ -123,28 +126,38 @@ func (s *camper) Name() string {
 
 func (s *camper) Fill(slot int64, channels int, mask *bitset.Set) int {
 	count := 0
-	for ch, until := range s.expiry {
-		if slot > until {
-			delete(s.expiry, ch)
+	kept := s.tracked[:0]
+	for _, ch := range s.tracked {
+		if slot > s.expiry[ch] {
+			s.expiry[ch] = 0
 			continue
 		}
+		kept = append(kept, ch)
 		if ch < channels {
 			mask.Set(ch)
 			count++
 		}
 	}
+	s.tracked = kept
 	return count
 }
 
+// Observe tracks every channel that delivered, until slot+dwell. A
+// tracked channel's expiry is at least dwell ≥ 1, which is what lets 0
+// mark untracked channels.
 func (s *camper) Observe(slot int64, activity []Activity) {
+	if len(activity) > len(s.expiry) {
+		s.expiry = append(s.expiry, make([]int64, len(activity)-len(s.expiry))...)
+	}
 	for ch, a := range activity {
 		if a != Delivered {
 			continue
 		}
-		if len(s.expiry) >= s.maxChans {
-			if _, tracked := s.expiry[ch]; !tracked {
+		if s.expiry[ch] == 0 {
+			if len(s.tracked) >= s.maxChans {
 				continue
 			}
+			s.tracked = append(s.tracked, ch)
 		}
 		s.expiry[ch] = slot + s.dwell
 	}
@@ -159,6 +172,6 @@ func Camper(dwell int64, maxChans int) Factory {
 	}
 	return NewFactory(fmt.Sprintf("camper(dwell=%d,max=%d)", dwell, maxChans),
 		func(*rng.Source) Strategy {
-			return &camper{dwell: dwell, maxChans: maxChans, expiry: make(map[int]int64)}
+			return &camper{dwell: dwell, maxChans: maxChans}
 		})
 }

@@ -102,6 +102,99 @@ func TestCamperIgnoresNonDeliveries(t *testing.T) {
 	}
 }
 
+// mapCamper is the camper as a map from channel to last jam slot — the
+// reference the camper's list-and-slice form must reproduce slot by slot.
+// Expiry is lazy here too: Fill drops expired entries, Observe does not.
+type mapCamper struct {
+	dwell    int64
+	maxChans int
+	expiry   map[int]int64
+}
+
+func (s *mapCamper) Fill(slot int64, channels int, mask *bitset.Set) int {
+	count := 0
+	for ch, until := range s.expiry {
+		if slot > until {
+			delete(s.expiry, ch)
+			continue
+		}
+		if ch < channels {
+			mask.Set(ch)
+			count++
+		}
+	}
+	return count
+}
+
+func (s *mapCamper) Observe(slot int64, activity []Activity) {
+	for ch, a := range activity {
+		if a != Delivered {
+			continue
+		}
+		if len(s.expiry) >= s.maxChans {
+			if _, tracked := s.expiry[ch]; !tracked {
+				continue
+			}
+		}
+		s.expiry[ch] = slot + s.dwell
+	}
+}
+
+// TestCamperMatchesMapReference drives the camper and mapCamper with the
+// same random Observe/Fill sequences and compares every slot's mask and
+// count. The sequences saturate maxChans, change the channel count (as
+// MultiCastAdv's phases do, both up and down), and skip Fill for runs of
+// slots, as the engine does once Eve's budget is spent — so channels
+// expire while tracked and must keep counting against maxChans until a
+// Fill drops them.
+func TestCamperMatchesMapReference(t *testing.T) {
+	counts := []int{1, 2, 4, 8, 16, 32}
+	for seed := uint64(1); seed <= 300; seed++ {
+		r := rng.New(seed)
+		dwell := int64(1 + r.Intn(10))
+		maxChans := 1 + r.Intn(6)
+		got := Camper(dwell, maxChans).New(r).(Adaptive)
+		want := &mapCamper{dwell: dwell, maxChans: maxChans, expiry: make(map[int]int64)}
+		gotMask, wantMask := bitset.New(32), bitset.New(32)
+		channels := counts[r.Intn(len(counts))]
+		deliverP := 0.05 + 0.4*r.Float64()
+		filling := true
+		for slot := int64(0); slot < 500; slot++ {
+			if r.Intn(40) == 0 {
+				channels = counts[r.Intn(len(counts))]
+			}
+			if r.Intn(12) == 0 {
+				filling = !filling
+			}
+			if filling {
+				gotMask.Reset()
+				wantMask.Reset()
+				gn := got.Fill(slot, channels, gotMask)
+				wn := want.Fill(slot, channels, wantMask)
+				if gn != wn {
+					t.Fatalf("seed %d slot %d: camper jams %d channels, reference %d", seed, slot, gn, wn)
+				}
+				for ch := 0; ch < 32; ch++ {
+					if gotMask.Test(ch) != wantMask.Test(ch) {
+						t.Fatalf("seed %d slot %d: channel %d jammed=%v, reference %v",
+							seed, slot, ch, gotMask.Test(ch), wantMask.Test(ch))
+					}
+				}
+			}
+			act := make([]Activity, channels)
+			for ch := range act {
+				if r.Bernoulli(deliverP) {
+					act[ch] = Delivered
+				} else {
+					act[ch] = Activity(r.Intn(4))
+				}
+			}
+			got.Observe(slot, act)
+			want.Observe(slot, act)
+		}
+	}
+}
+
 func TestCamperValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero dwell": func() { Camper(0, 1) },

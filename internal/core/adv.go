@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"multicast/internal/protocol"
 	"multicast/internal/radio"
@@ -108,6 +109,7 @@ type advNode struct {
 	win    int        // index of the current step window
 	cur    StepWindow // the current step window
 	offset int64      // slot offset within the window
+	lnq    float64    // ln(1−q) for the window's action rate q
 
 	// Step-two counters (Figure 4 line 9).
 	nm, nmPrime, nn, ns int64
@@ -121,28 +123,29 @@ type advNode struct {
 	nextOff int64
 }
 
+// enterWindow starts step window w. In step one a node acts with
+// probability p (uninformed listen, informed broadcast); in step two
+// everyone acts with probability 2p (listen or broadcast, equally
+// likely). Becoming informed mid-window (a step-one listen) does not
+// change the step's action rate, so the rate — and with it the gap
+// draws' logarithm, hoisted here — is fixed for the whole window.
 func (nd *advNode) enterWindow(w StepWindow) {
 	nd.cur = w
 	nd.offset = 0
+	q := w.P
 	if w.Step == 2 {
 		nd.nm, nd.nmPrime, nd.nn, nd.ns = 0, 0, 0, 0
+		q *= 2
 	}
+	nd.lnq = math.Log1p(-q)
 	nd.drawGap()
 }
 
-// drawGap draws the geometric gap to the node's next action slot in the
-// current step window. In step one a node acts with probability p
-// (uninformed listen, informed broadcast); in step two everyone acts with
-// probability 2p (listen or broadcast, equally likely). Becoming informed
-// mid-window (a step-one listen) does not change the step's action rate,
-// so the rate is a gap invariant; gaps truncate at the window boundary,
-// where enterWindow redraws under the next window's rate.
+// drawGap draws the geometric gap to the node's next action slot at the
+// window's rate. Gaps truncate at the window boundary, where enterWindow
+// redraws under the next window's rate.
 func (nd *advNode) drawGap() {
-	q := nd.cur.P
-	if nd.cur.Step == 2 {
-		q *= 2
-	}
-	nd.nextOff = nd.offset + nd.r.GeometricCapped(q, nd.cur.Len-nd.offset)
+	nd.nextOff = nd.offset + nd.r.GeometricCappedLn(nd.lnq, nd.cur.Len-nd.offset)
 }
 
 func (nd *advNode) Status() protocol.Status { return nd.status }

@@ -84,6 +84,8 @@ type mcastNode struct {
 	iter    int     // current iteration index i
 	iterLen int64   // Rᵢ
 	p       float64 // pᵢ
+	lnq     float64 // ln(1−pᵢ): the uninformed gap rate's hoisted Log1p
+	lnq2    float64 // ln(1−2pᵢ): the informed gap rate's hoisted Log1p
 	haltMax float64 // halt iff Nn < haltMax at iteration end
 	noisy   int64   // Nn
 	slotIdx int64   // slot within the iteration
@@ -98,6 +100,8 @@ func (nd *mcastNode) startIteration(i int) {
 	nd.iter = i
 	nd.iterLen = nd.alg.IterationLength(i)
 	nd.p = nd.alg.ListenProb(i)
+	nd.lnq = math.Log1p(-nd.p)
+	nd.lnq2 = math.Log1p(-(nd.p * 2))
 	nd.haltMax = nd.alg.params.HaltRatio * nd.p * float64(nd.iterLen)
 	nd.noisy = 0
 	nd.slotIdx = 0
@@ -107,13 +111,15 @@ func (nd *mcastNode) startIteration(i int) {
 // drawGap draws the geometric gap to the node's next action slot at the
 // current iteration's rate — pᵢ to listen, plus pᵢ to broadcast when
 // informed; see coreNode.drawGap. Gaps truncate at the iteration
-// boundary, where startIteration redraws under the new pᵢ₊₁.
+// boundary, where startIteration redraws under the new pᵢ₊₁. The rate's
+// logarithm is hoisted into startIteration: GeometricCappedLn is
+// bit-identical to GeometricCapped for the same rate.
 func (nd *mcastNode) drawGap() {
-	q := nd.p
+	lnq := nd.lnq
 	if nd.status == protocol.Informed {
-		q *= 2
+		lnq = nd.lnq2
 	}
-	nd.nextIdx = nd.slotIdx + nd.r.GeometricCapped(q, nd.iterLen-nd.slotIdx)
+	nd.nextIdx = nd.slotIdx + nd.r.GeometricCappedLn(lnq, nd.iterLen-nd.slotIdx)
 }
 
 func (nd *mcastNode) Status() protocol.Status { return nd.status }
@@ -270,6 +276,8 @@ type mcastCNode struct {
 	iter    int
 	iterLen int64 // Rᵢ in rounds
 	p       float64
+	lnq     float64 // ln(1−pᵢ), hoisted as in mcastNode
+	lnq2    float64 // ln(1−2pᵢ)
 	haltMax float64
 	noisy   int64
 	round   int64 // round index within the iteration
@@ -288,6 +296,8 @@ func (nd *mcastCNode) startIteration(i int) {
 	nd.iter = i
 	nd.iterLen = nd.alg.inner.IterationLength(i)
 	nd.p = nd.alg.inner.ListenProb(i)
+	nd.lnq = math.Log1p(-nd.p)
+	nd.lnq2 = math.Log1p(-(nd.p * 2))
 	nd.haltMax = nd.alg.inner.params.HaltRatio * nd.p * float64(nd.iterLen)
 	nd.noisy = 0
 	nd.round = 0
@@ -302,11 +312,11 @@ func (nd *mcastCNode) startIteration(i int) {
 // stream order gap → kind → channel identical to the slot-level
 // MultiCast node, preserving the exact C = n/2 equivalence.
 func (nd *mcastCNode) drawRoundGap() {
-	q := nd.p
+	lnq := nd.lnq
 	if nd.status == protocol.Informed {
-		q *= 2
+		lnq = nd.lnq2
 	}
-	nd.nextRound = nd.round + nd.r.GeometricCapped(q, nd.iterLen-nd.round)
+	nd.nextRound = nd.round + nd.r.GeometricCappedLn(lnq, nd.iterLen-nd.round)
 	if nd.nextRound >= nd.iterLen {
 		nd.act = protocol.Idle
 		return

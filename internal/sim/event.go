@@ -368,6 +368,14 @@ type pendingListen struct {
 	id, ch int32
 }
 
+// chanTally is one channel's slot occupancy in the lean step, as
+// radio.Network's chanState keeps it: the broadcaster count and the
+// first-registered payload.
+type chanTally struct {
+	count   int32
+	payload radio.Payload
+}
+
 // nextWake returns node id's next wake slot at or after now. Nodes without
 // a Sleeper implementation wake every slot, which degenerates gracefully
 // to dense stepping for them alone.
@@ -589,7 +597,9 @@ func (ex *execution) chargeRange(from, to int64, channels int) {
 //     relies on for whole skipped ranges);
 //   - channel resolution replays radio.Listen's rules (jam → Noise,
 //     0/1/≥2 broadcasters → Silence/Message/Noise, first broadcast's
-//     payload wins) against the slot's collected broadcasts;
+//     payload wins) against a per-channel tally of the slot's
+//     broadcasts, so a slot costs listeners + broadcasts lookups, not
+//     their product;
 //   - energy lands in the network's meters (NodeEnergies/ChargeEve).
 //
 // Collecting node actions before drawing Eve's jam set is a legal
@@ -672,37 +682,35 @@ func (ex *execution) stepSlotLean(slot int64, ids []int, channels int) {
 		}
 	}
 
-	// Phase 2: resolve each listener's channel. Broadcast registration
-	// order is ascending id, so the first matching buffer entry carries
-	// the payload radio.Listen would deliver.
+	// Phase 2: resolve each listener's channel against the tally.
+	// Broadcast registration order is ascending id, so the first tallied
+	// payload is the one radio.Listen would deliver. Walking the
+	// broadcasts again zeroes exactly the touched entries.
+	var tally []chanTally
+	if len(listens) > 0 && len(bcasts) > 0 {
+		tally = ex.tallyBroadcasts(bcasts, channels)
+	}
 	for _, ln := range listens {
 		ch := int(ln.ch)
 		var fb radio.Feedback
 		if ch < jamPrefix || (maskJam && ex.mask.Test(ch)) {
 			fb = radio.Feedback{Status: radio.Noise}
-		} else if len(bcasts) == 0 {
+		} else if tally == nil {
 			fb = radio.Feedback{Status: radio.Silence}
 		} else {
-			count := 0
-			var payload radio.Payload
-			for _, bc := range bcasts {
-				if bc.ch == ch {
-					if count == 0 {
-						payload = bc.payload
-					}
-					count++
-				}
-			}
-			switch {
-			case count == 0:
+			switch t := tally[ch]; t.count {
+			case 0:
 				fb = radio.Feedback{Status: radio.Silence}
-			case count == 1:
-				fb = radio.Feedback{Status: radio.Message, Payload: payload}
+			case 1:
+				fb = radio.Feedback{Status: radio.Message, Payload: t.payload}
 			default:
 				fb = radio.Feedback{Status: radio.Noise}
 			}
 		}
 		ex.nodes[ln.id].Deliver(fb)
+	}
+	if tally != nil {
+		untallyBroadcasts(tally, bcasts)
 	}
 	if maskJam {
 		ex.mask.Reset()
@@ -730,6 +738,32 @@ func (ex *execution) stepSlotLean(slot int64, ids []int, channels int) {
 	}
 	for _, tr := range ex.transitions {
 		ex.noteTransition(tr, slot)
+	}
+}
+
+// tallyBroadcasts records bcasts in the lean step's per-channel tally
+// and returns it. The tally is zero between slots — untallyBroadcasts
+// zeroes exactly the entries this touched — and reallocates only when
+// the channel count outgrows every earlier slot's, as the jam mask does.
+func (ex *execution) tallyBroadcasts(bcasts []pendingBroadcast, channels int) []chanTally {
+	if len(ex.tally) < channels {
+		ex.tally = make([]chanTally, channels)
+	}
+	tally := ex.tally
+	for _, bc := range bcasts {
+		t := &tally[bc.ch]
+		if t.count == 0 {
+			t.payload = bc.payload
+		}
+		t.count++
+	}
+	return tally
+}
+
+// untallyBroadcasts zeroes the tally entries bcasts touched.
+func untallyBroadcasts(tally []chanTally, bcasts []pendingBroadcast) {
+	for _, bc := range bcasts {
+		tally[bc.ch] = chanTally{}
 	}
 }
 

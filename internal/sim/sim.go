@@ -293,10 +293,13 @@ type execution struct {
 	prevStatus  []protocol.Status
 	transitions []transition
 
+	sent []int // channels stepSlot registered broadcasts on, one per broadcast
+
 	wheel   *eventWheel        // event engine's calendar, recycled across trials
 	awake   []int              // event engine's per-slot wake buffer
 	bcasts  []pendingBroadcast // lean step's broadcast buffer
 	listens []pendingListen    // lean step's listener buffer
+	tally   []chanTally        // lean step's per-channel tally, zero between slots
 
 	// forkBuf is the scratch stream handed to NewNode: seeding it in
 	// place is state-identical to root.Fork() without the allocation
@@ -482,7 +485,7 @@ func (ex *execution) stepSlot(slot int64, ids []int, maintainActive bool) {
 	// the model's transmissions are simultaneous within a slot.
 	ex.listeners = ex.listeners[:0]
 	ex.channels = ex.channels[:0]
-	broadcasters := 0
+	ex.sent = ex.sent[:0]
 	for _, id := range ids {
 		nd := ex.nodes[id]
 		ex.prevStatus[id] = nd.Status()
@@ -490,7 +493,7 @@ func (ex *execution) stepSlot(slot int64, ids []int, maintainActive bool) {
 		switch act.Kind {
 		case protocol.Broadcast:
 			ex.net.Broadcast(id, act.Channel, act.Payload)
-			broadcasters++
+			ex.sent = append(ex.sent, act.Channel)
 		case protocol.Listen:
 			ex.listeners = append(ex.listeners, id)
 			ex.channels = append(ex.channels, act.Channel)
@@ -506,7 +509,7 @@ func (ex *execution) stepSlot(slot int64, ids []int, maintainActive bool) {
 
 	// An adaptive Eve senses every channel's activity after the slot.
 	if ex.adaptive != nil {
-		ex.observe(slot, channels, jam)
+		ex.observe(slot, channels, jam, jamCount)
 	}
 
 	// Phase 3: end-of-slot bookkeeping and status transitions.
@@ -554,26 +557,33 @@ func (ex *execution) stepSlot(slot int64, ids []int, maintainActive bool) {
 	}
 
 	if ex.cfg.Observer != nil {
-		ex.cfg.Observer.Slot(slot, channels, jamCount, len(ex.listeners), broadcasters, ex.informedCount, ex.haltedCount)
+		ex.cfg.Observer.Slot(slot, channels, jamCount, len(ex.listeners), len(ex.sent), ex.informedCount, ex.haltedCount)
 	}
 }
 
-// observe reports the slot's per-channel activity to an adaptive Eve.
-func (ex *execution) observe(slot int64, channels int, jam *bitset.Set) {
+// observe reports the slot's per-channel activity to an adaptive Eve:
+// Jammed where she jammed, otherwise Quiet, Delivered or Collided by the
+// channel's broadcaster count. It builds the slice from the slot's
+// broadcasts (ex.sent) and the jam mask's jamCount set bits (jamCount
+// equals jam.CountRange(channels), as BeginSlot requires), so it asks
+// the network nothing per channel.
+func (ex *execution) observe(slot int64, channels int, jam *bitset.Set, jamCount int) {
 	if cap(ex.activity) < channels {
 		ex.activity = make([]adversary.Activity, channels)
 	}
 	act := ex.activity[:channels]
-	for ch := 0; ch < channels; ch++ {
-		switch {
-		case jam != nil && jam.Test(ch):
-			act[ch] = adversary.Jammed
-		case ex.net.BroadcastersOn(ch) == 0:
-			act[ch] = adversary.Quiet
-		case ex.net.BroadcastersOn(ch) == 1:
+	clear(act) // Quiet is the zero Activity
+	for _, ch := range ex.sent {
+		if act[ch] == adversary.Quiet {
 			act[ch] = adversary.Delivered
-		default:
+		} else {
 			act[ch] = adversary.Collided
+		}
+	}
+	for ch, left := 0, jamCount; left > 0 && ch < channels; ch++ {
+		if jam.Test(ch) {
+			act[ch] = adversary.Jammed
+			left--
 		}
 	}
 	ex.adaptive.Observe(slot, act)

@@ -176,6 +176,8 @@ type node struct {
 	epoch   int
 	length  int64
 	lp, bp  float64 // lᵢ and bᵢ
+	lnl     float64 // ln(1−lᵢ): the uninformed gap rate's hoisted Log1p
+	lnlb    float64 // ln(1−lᵢ−bᵢ): the informed gap rate's hoisted Log1p
 	lfrac   float64 // P(listen | act) = lᵢ/(lᵢ+bᵢ) for informed nodes
 	haltMax float64
 	noisy   int64
@@ -192,6 +194,8 @@ func (nd *node) startEpoch(i int) {
 	nd.length = nd.alg.EpochLength(i)
 	nd.lp = nd.alg.ListenProb(i)
 	nd.bp = nd.alg.BroadcastProb(i)
+	nd.lnl = math.Log1p(-nd.lp)
+	nd.lnlb = math.Log1p(-(nd.lp + nd.bp))
 	nd.lfrac = nd.lp / (nd.lp + nd.bp)
 	nd.haltMax = nd.alg.params.HaltNoise * nd.lp * float64(nd.length)
 	nd.noisy = 0
@@ -203,13 +207,15 @@ func (nd *node) startEpoch(i int) {
 // epoch's rate — lᵢ to listen, plus bᵢ to broadcast when informed. The
 // status cannot change before the action slot (Deliver requires
 // listening), so the rate is a gap invariant; gaps truncate at the epoch
-// boundary, where startEpoch redraws under the next epoch's rates.
+// boundary, where startEpoch redraws under the next epoch's rates. Both
+// rates' logarithms are hoisted into startEpoch: GeometricCappedLn is
+// bit-identical to GeometricCapped for the same rate.
 func (nd *node) drawGap() {
-	q := nd.lp
+	lnq := nd.lnl
 	if nd.status == protocol.Informed {
-		q += nd.bp
+		lnq = nd.lnlb
 	}
-	nd.nextIdx = nd.slotIdx + nd.r.GeometricCapped(q, nd.length-nd.slotIdx)
+	nd.nextIdx = nd.slotIdx + nd.r.GeometricCappedLn(lnq, nd.length-nd.slotIdx)
 }
 
 func (nd *node) Status() protocol.Status { return nd.status }
