@@ -197,6 +197,16 @@ func (p CampaignPlan) driverOptions() (driver.Options, error) {
 	return o, nil
 }
 
+// closeCache releases the segment handles of the store driverOptions
+// opened once the campaign's run has returned; a nil store (no
+// CacheDir) has none. Closing a read-only handle cannot lose data, so
+// its error is dropped.
+func closeCache(store *cache.Store) {
+	if store != nil {
+		_ = store.Close()
+	}
+}
+
 // RunCampaign drives a single-workload campaign: Trials independently
 // seeded executions of cfg, sharded over CampaignPlan.Shards concurrent
 // workers with per-shard checkpointing, gathered and merged into the
@@ -215,6 +225,7 @@ func RunCampaign(ctx context.Context, cfg Config, plan CampaignPlan) (*Summary, 
 	if err != nil {
 		return nil, err
 	}
+	defer closeCache(opts.Cache)
 	return driver.Run(ctx, driver.Spec{
 		Template: tmpl,
 		Points:   []sim.Config{sc},
@@ -246,6 +257,7 @@ func RunScenarioCampaign(ctx context.Context, scen Scenario, opts ScenarioOption
 	if err != nil {
 		return nil, err
 	}
+	defer closeCache(dopts.Cache)
 	return driver.Run(ctx, driver.Spec{
 		Template: tmpl,
 		Points:   sims,

@@ -25,9 +25,14 @@
 // share a file. Open indexes every segment in the directory by key,
 // from complete lines only: a torn tail left by a crash mid-append, or
 // any other line without a readable key, is skipped, and the last
-// record for a key wins. Eviction is the operator deleting segments (or
-// the whole directory), which reads as misses, and a schema bump
-// orphans old records by changing every key. Entries of the former
+// record for a key wins. Load verifies a record on its raw bytes — the
+// sha256 of the record with its checksum digits cut out must equal the
+// digits — and only then decodes it, accepting exactly the bytes Put
+// writes. It reads through a handle the Store opens on a segment the
+// first time it reads from it and keeps until Close. Eviction is the
+// operator deleting segments (or the whole directory), which reads as
+// misses to every Store that had not yet read from them, and a schema
+// bump orphans old records by changing every key. Entries of the former
 // one-file-per-cell layout (<key[:2]>/<key[2:]>.json) are ignored.
 package cache
 
@@ -36,7 +41,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -67,10 +71,49 @@ const SchemaVersion = 1
 // never change what a cell computes, so an extended or re-sharded sweep
 // hits every cell it shares with a previous one.
 func Key(label, workload string, seed uint64) string {
-	material := fmt.Sprintf("cache=%d campaign=%d label=%q workload=%q seed=%d",
-		SchemaVersion, campaign.SchemaVersion, label, workload, seed)
-	sum := sha256.Sum256([]byte(material))
-	return hex.EncodeToString(sum[:])
+	var buf [keyBuf]byte
+	return keyOf(strconv.AppendUint(appendPoint(buf[:0], label, workload), seed, 10))
+}
+
+// PointKey returns the key function of one point's cells:
+// PointKey(label, workload)(seed) == Key(label, workload, seed). The
+// label and workload are quoted once, when PointKey is called, not once
+// per cell.
+func PointKey(label, workload string) func(seed uint64) string {
+	point := appendPoint(nil, label, workload)
+	return func(seed uint64) string {
+		var buf [keyBuf]byte
+		return keyOf(strconv.AppendUint(append(buf[:0], point...), seed, 10))
+	}
+}
+
+// keyBuf holds the key material of a point with a label and workload
+// of typical length without a heap allocation.
+const keyBuf = 256
+
+// appendPoint appends the key material up to the seed:
+//
+//	cache=<SchemaVersion> campaign=<campaign.SchemaVersion> label=<%q> workload=<%q> seed=
+//
+// with both strings quoted as strconv.Quote (fmt's %q) quotes them.
+func appendPoint(dst []byte, label, workload string) []byte {
+	dst = append(dst, "cache="...)
+	dst = strconv.AppendInt(dst, SchemaVersion, 10)
+	dst = append(dst, " campaign="...)
+	dst = strconv.AppendInt(dst, campaign.SchemaVersion, 10)
+	dst = append(dst, " label="...)
+	dst = strconv.AppendQuote(dst, label)
+	dst = append(dst, " workload="...)
+	dst = strconv.AppendQuote(dst, workload)
+	return append(dst, " seed="...)
+}
+
+// keyOf returns the key of the given material: its hex sha256.
+func keyOf(material []byte) string {
+	sum := sha256.Sum256(material)
+	var digits [jsonenc.DigestLen]byte
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:])
 }
 
 // entry is the on-disk cache record. Checksum is the hex sha256 of the
@@ -140,23 +183,69 @@ func appendMetrics(dst []byte, m *sim.Metrics) ([]byte, error) {
 	return append(dst, "]}"...), nil
 }
 
-// checksum returns the entry's content digest: compact JSON with the
-// Checksum field empty. sim.Metrics is a flat struct of integers and
-// one float64, both of which Go JSON round-trips exactly, so the digest
-// is stable under decode→encode.
-func (e *entry) checksum() (string, error) {
-	c := *e
-	c.Checksum = ""
-	data, _, err := c.appendJSON(make([]byte, 0, entrySize))
-	if err != nil {
-		return "", err
+// recordHead is how every record of this schema version begins, up to
+// its checksum's digits.
+var recordHead = `{"schema_version":` + strconv.Itoa(SchemaVersion) + `,"checksum":"`
+
+// readRecord verifies and decodes rec, one record with its newline, as
+// the record of key: first the checksum, over rec's own bytes with the
+// digits cut out, then a straight-line read of exactly the bytes Put
+// writes — the schema-version prefix, the key, the metric fields in
+// order, integers as strconv writes them (HelperJCounts within int32)
+// and the float as jsonenc.AppendFloat writes it. Anything else is a
+// miss, so whatever it accepts re-encodes byte for byte. It cuts the
+// digits out of rec in place.
+func readRecord(rec []byte, key string) (m sim.Metrics, ok bool) {
+	at, n := len(recordHead), len(rec)-1
+	if n < at+jsonenc.DigestLen || rec[n] != '\n' || string(rec[:at]) != recordHead {
+		return sim.Metrics{}, false
 	}
-	return jsonenc.Digest(data), nil
+	var stored, digest [jsonenc.DigestLen]byte
+	copy(stored[:], rec[at:])
+	rec = append(rec[:at], rec[at+jsonenc.DigestLen:n]...)
+	sum := sha256.Sum256(rec)
+	hex.Encode(digest[:], sum[:])
+	if digest != stored {
+		return sim.Metrics{}, false
+	}
+	r := jsonenc.NewReader(rec[at:])
+	r.Expect(`","key":`)
+	r.ExpectString(key)
+	r.Expect(`,"metrics":{"Slots":`)
+	m.Slots = r.Int(64)
+	r.Expect(`,"MaxNodeEnergy":`)
+	m.MaxNodeEnergy = r.Int(64)
+	r.Expect(`,"SourceEnergy":`)
+	m.SourceEnergy = r.Int(64)
+	r.Expect(`,"MeanNodeEnergy":`)
+	m.MeanNodeEnergy = r.ExactFloat()
+	r.Expect(`,"EveEnergy":`)
+	m.EveEnergy = r.Int(64)
+	r.Expect(`,"AllInformedSlot":`)
+	m.AllInformedSlot = r.Int(64)
+	r.Expect(`,"FirstHelperSlot":`)
+	m.FirstHelperSlot = r.Int(64)
+	r.Expect(`,"FirstHaltSlot":`)
+	m.FirstHaltSlot = r.Int(64)
+	r.Expect(`,"Invariants":`)
+	m.Invariants.ReadJSON(&r)
+	r.Expect(`,"HelperJCounts":[`)
+	for i := range m.HelperJCounts {
+		if i > 0 {
+			r.Expect(",")
+		}
+		m.HelperJCounts[i] = int32(r.Int(32))
+	}
+	r.Expect("]}}")
+	if r.End() != nil {
+		return sim.Metrics{}, false
+	}
+	return m, true
 }
 
 // entrySize is the encoding buffer Put and Load start from: a whole
 // entry, checksum and newline included, fits in it even with every
-// integer at its widest.
+// integer at its widest, so a longer line is not a record.
 const entrySize = 1024
 
 // segExt names the segment files Open indexes; anything else in the
@@ -203,23 +292,32 @@ type record struct {
 	off int64
 }
 
+// segFile is one segment file and the read handle Load opens on it the
+// first time it reads from it.
+type segFile struct {
+	path string
+	f    *os.File // nil until the first Load from the segment
+}
+
 // Store is one on-disk cell result cache rooted at a directory: an
 // in-memory index over the segments found there at Open, plus the one
 // segment this Store appends its own Puts to. Load and Put are safe
 // for concurrent use from any number of goroutines, and any number of
 // Stores, in one process or many, may share a directory. A record
 // another Store writes after this one's Open is a miss here until the
-// directory is opened again. No file stays open between calls, so a
-// Store needs no closing.
+// directory is opened again. Load keeps a read handle on each segment
+// it has read from until Close; a Store never closed releases them when
+// it is garbage-collected.
 type Store struct {
 	dir string
 
-	// mu orders Put's appends and every index access.
-	mu    sync.Mutex
-	segs  []string          // segment paths: scanned at Open, then created by Put
-	index map[uint64]record // key prefix (first 8 bytes) → its last record
-	own   int               // this Store's segment in segs; -1 until its first Put
-	end   int64             // size of the own segment: the next record's offset
+	// mu orders Put's appends, every index access and the handles.
+	mu     sync.Mutex
+	segs   []segFile         // scanned at Open, then created by Put
+	index  map[uint64]record // key prefix (first 8 bytes) → its last record
+	own    int               // this Store's segment in segs; -1 until its first Put
+	end    int64             // size of the own segment: the next record's offset
+	closed bool              // Close ran: every Load misses
 }
 
 // Open roots a store at dir, creating the directory if needed, and
@@ -247,7 +345,7 @@ func Open(dir string) (*Store, error) {
 		if r == nil {
 			r = bufio.NewReaderSize(nil, scanBuf)
 		}
-		s.segs = append(s.segs, filepath.Join(dir, e.Name()))
+		s.segs = append(s.segs, segFile{path: filepath.Join(dir, e.Name())})
 		s.scan(int32(len(s.segs)-1), r)
 	}
 	return s, nil
@@ -257,7 +355,7 @@ func Open(dir string) (*Store, error) {
 // key prefix, reading through r. Nothing is decoded or verified here;
 // Load does that for the one record it reads.
 func (s *Store) scan(seg int32, r *bufio.Reader) {
-	f, err := os.Open(s.segs[seg])
+	f, err := os.Open(s.segs[seg].path)
 	if err != nil {
 		return
 	}
@@ -303,42 +401,71 @@ func (s *Store) Locate(key string) (path string, off int64, n int, ok bool) {
 	if !ok {
 		return "", 0, 0, false
 	}
-	return s.segs[rec.seg], rec.off, int(rec.n), true
+	return s.segs[rec.seg].path, rec.off, int(rec.n), true
 }
 
 // Load returns the metrics cached under key. Every failure mode —
 // nothing indexed, missing or unreadable segment, truncated or
 // otherwise undecodable record, wrong schema version, another key's
-// record, checksum mismatch — is reported as a miss (ok == false) and
-// never an error: a damaged cache may cost a re-simulation but can
-// never fail a campaign or corrupt a result.
+// record, checksum mismatch, a closed Store — is reported as a miss
+// (ok == false) and never an error: a damaged cache may cost a
+// re-simulation but can never fail a campaign or corrupt a result. A
+// hit allocates nothing.
 func (s *Store) Load(key string) (m sim.Metrics, ok bool) {
-	path, off, n, ok := s.Locate(key)
+	p, ok := keyPrefix(key)
 	if !ok {
 		return sim.Metrics{}, false
 	}
-	f, err := os.Open(path)
-	if err != nil {
+	s.mu.Lock()
+	rec, ok := s.index[p]
+	var f *os.File
+	if ok && !s.closed {
+		f = s.handle(rec.seg)
+	}
+	s.mu.Unlock()
+	if f == nil || rec.n > entrySize {
 		return sim.Metrics{}, false
 	}
-	data := make([]byte, n)
-	_, err = f.ReadAt(data, off)
-	f.Close()
-	if err != nil {
+	var buf [entrySize]byte
+	data := buf[:rec.n]
+	if _, err := f.ReadAt(data, rec.off); err != nil {
 		return sim.Metrics{}, false
 	}
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return sim.Metrics{}, false
+	return readRecord(data, key)
+}
+
+// handle returns the read handle of segment seg, opening it if this is
+// the first read from it, or nil if it cannot be opened. The caller
+// holds s.mu.
+func (s *Store) handle(seg int32) *os.File {
+	sg := &s.segs[seg]
+	if sg.f == nil {
+		f, err := os.Open(sg.path)
+		if err != nil {
+			return nil
+		}
+		sg.f = f
 	}
-	if e.SchemaVersion != SchemaVersion || e.Key != key {
-		return sim.Metrics{}, false
+	return sg.f
+}
+
+// Close releases the read handles Load holds; every Load after it is a
+// miss. Put is unaffected: it holds no handle between calls. Close
+// returns the first error closing a handle.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	var err error
+	for i := range s.segs {
+		if f := s.segs[i].f; f != nil {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			s.segs[i].f = nil
+		}
 	}
-	want, err := e.checksum()
-	if err != nil || e.Checksum != want {
-		return sim.Metrics{}, false
-	}
-	return e.Metrics, true
+	return err
 }
 
 // Put records m under key by appending one record to the store's own
@@ -379,7 +506,7 @@ func (s *Store) append(rec []byte) error {
 	if s.own < 0 {
 		f, err = s.create()
 	} else {
-		f, err = os.OpenFile(s.segs[s.own], os.O_WRONLY|os.O_APPEND, 0)
+		f, err = os.OpenFile(s.segs[s.own].path, os.O_WRONLY|os.O_APPEND, 0)
 	}
 	if err != nil {
 		return err
@@ -406,7 +533,7 @@ func (s *Store) create() (*os.File, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.segs = append(s.segs, path)
+		s.segs = append(s.segs, segFile{path: path})
 		s.own, s.end = len(s.segs)-1, 0
 		return f, nil
 	}

@@ -218,15 +218,12 @@ func TestLoadRejectsTruncatedEntry(t *testing.T) {
 }
 
 // No single-bit flip anywhere in the middle record may load with
-// changed content: most flips must miss, and the ones that decode at
-// all must load exactly the original metrics. Two flip classes survive
-// decoding — a case flip inside a JSON key name (Go matches field
-// names case-insensitively) and any flip inside the name of a
-// zero-valued field (the mangled name is ignored as unknown, leaving
-// the zero in place) — and in both the canonical re-encoding equals
-// the original, so the checksum rightly verifies. The neighbours'
-// bytes are untouched, so the first record always hits; the third may
-// be lost to a fresh Open when the flip joins or splits lines. (Mirrors
+// changed content: most flips must miss, and any that loaded would have
+// to load exactly the original metrics. Since Load checks the record's
+// raw bytes, every flip misses (TestEveryBitFlipMisses pins that on the
+// record alone). The neighbours' bytes are untouched, so the first
+// record always hits; the third may be lost to a fresh Open when the
+// flip joins or splits lines. (Mirrors
 // campaign.TestReadRejectsBitFlippedArtifact.)
 func TestLoadRejectsBitFlippedEntry(t *testing.T) {
 	c := corpus(t)

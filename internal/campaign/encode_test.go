@@ -161,7 +161,9 @@ func emptyCollectorMirror() *collectorMirror {
 // UTF-8), Collector and Accumulator state (nil and empty samples,
 // dropped tallies, count 0), and the summary and checkpoint-sidecar
 // encoders with and without the per-point cache, up to the bytes
-// Summary.WriteWithFault writes and the checksum it stamps.
+// Summary.WriteWithFault writes and the checksum it stamps. Every
+// collector it builds is also read back, compact and indented, and must
+// re-encode to the same bytes.
 func FuzzArtifactEncoding(f *testing.F) {
 	neg0 := math.Copysign(0, -1)
 	f.Add("C=8", "mcast n=64 adv=random", "sweep", "steal", uint8(5), uint8(1), uint8(3), false, uint8(2),
@@ -203,6 +205,12 @@ func FuzzArtifactEncoding(f *testing.F) {
 		if got, err := c.AppendJSON(nil); err != nil || !bytes.Equal(got, cwant) {
 			t.Fatalf("Collector.AppendJSON = %s, %v\nencoding/json:       %s", got, err, cwant)
 		}
+		rereadCollector(t, cwant)
+		fresh, err := runner.NewCollector().AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rereadCollector(t, fresh)
 
 		// A collector folded from trials keeps its Welford state and
 		// drops non-finite mean energies; whatever it holds must encode
@@ -222,6 +230,7 @@ func FuzzArtifactEncoding(f *testing.F) {
 			if again := mustJSON(t, back); !bytes.Equal(got, again) {
 				t.Fatalf("live collector encoding %s\nre-encodes as %s", got, again)
 			}
+			rereadCollector(t, got)
 		} else if !errors.As(err, new(*json.UnsupportedValueError)) {
 			t.Fatalf("live collector: err %v, want encoding/json's unsupported value", err)
 		}
@@ -320,6 +329,27 @@ func FuzzArtifactEncoding(f *testing.F) {
 }
 
 var errCaptured = errors.New("payload captured")
+
+// rereadCollector decodes a collector's encoding with the reader
+// Collector.UnmarshalJSON uses, both compact and as json.Indent lays it
+// out inside an artifact, and requires each decode to re-encode to the
+// same bytes.
+func rereadCollector(t *testing.T, enc []byte) {
+	t.Helper()
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, enc, "      ", "  "); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range [][]byte{enc, indented.Bytes()} {
+		var c runner.Collector
+		if err := c.UnmarshalJSON(in); err != nil {
+			t.Fatalf("collector does not decode: %v\n%s", err, in)
+		}
+		if got, err := c.AppendJSON(nil); err != nil || !bytes.Equal(got, enc) {
+			t.Fatalf("collector decoded from\n%s\nre-encodes as %s, %v", in, got, err)
+		}
+	}
+}
 
 // referenceChecksummed is how checksummed records were written before
 // the append encoders: encode with an empty checksum, hash, set the hex

@@ -23,13 +23,18 @@ type cellCache struct {
 	hit   []bool
 }
 
-// newCellCache derives the per-cell keys of the campaign's grid.
+// newCellCache derives the per-cell keys of the campaign's grid,
+// quoting each point's identity once.
 func newCellCache(store *cache.Store, tmpl *campaign.Summary, grid runner.Grid) *cellCache {
 	total := grid.Total()
 	c := &cellCache{store: store, keys: make([]string, total), hit: make([]bool, total)}
+	keys := make([]func(uint64) string, len(tmpl.Points))
+	for p, pt := range tmpl.Points {
+		keys[p] = cache.PointKey(pt.Label, pt.Workload)
+	}
 	for g := 0; g < total; g++ {
 		p, _ := grid.Split(g)
-		c.keys[g] = cache.Key(tmpl.Points[p].Label, tmpl.Points[p].Workload, grid.Seed(g))
+		c.keys[g] = keys[p](grid.Seed(g))
 	}
 	return c
 }

@@ -118,8 +118,7 @@ func TestDriveCacheCorruptEntryResimulated(t *testing.T) {
 	spec := testSpec(6)
 	cold, _, _ := cacheRun(t, spec, ScheduleStatic, store)
 
-	// Damage cell 0's checksum — an unambiguous miss (bit flips in
-	// key-name bytes can decode identically; a wrong checksum cannot).
+	// Damage cell 0's checksum — an unambiguous miss.
 	grid, err := runner.NewGrid(spec.Points, spec.Trials)
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,15 @@
 // Package jsonenc holds the scalar formatting and checksum splicing
 // shared by the hand-written encoders of the campaign records
 // (stats.Accumulator, runner.Collector, the campaign summary and
-// checkpoint sidecar, cache entries).
+// checkpoint sidecar, cache entries), and Reader, the token reader
+// their hand-written decoders share (accumulators, collectors, cache
+// entries).
 //
-// Every function here reproduces encoding/json.Marshal byte for byte:
-// artifacts, sidecars and cache entries are checksummed over exactly
-// these bytes, so one differing byte would make every file already on
-// disk fail its checksum. The encoders append to a caller-owned buffer
-// and use no reflection.
+// Every encoding function here reproduces encoding/json.Marshal byte
+// for byte: artifacts, sidecars and cache entries are checksummed over
+// exactly these bytes, so one differing byte would make every file
+// already on disk fail its checksum. The encoders append to a
+// caller-owned buffer, and neither they nor Reader use reflection.
 package jsonenc
 
 import (
@@ -106,8 +108,10 @@ func AppendString(dst []byte, s string) []byte {
 const DigestLen = 2 * sha256.Size
 
 // Digest returns the content digest of data: its sha256, hex-encoded.
-// Readers verify a decoded record by re-encoding it with an empty
-// checksum and comparing Digest of those bytes with the stored value.
+// Artifact and sidecar readers verify a decoded record by re-encoding it
+// with an empty checksum and comparing Digest of those bytes with the
+// stored value; the cache hashes a record's own bytes with the digits
+// cut out.
 func Digest(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])

@@ -312,16 +312,6 @@ func (nw *Network) checkAccess(id, ch int) {
 	}
 }
 
-// BroadcastersOn reports how many nodes have broadcast on ch in the current
-// slot. Test/trace helper; not part of the node-visible model.
-func (nw *Network) BroadcastersOn(ch int) int {
-	st := &nw.states[ch]
-	if st.stamp != nw.slot {
-		return 0
-	}
-	return int(st.count)
-}
-
 // SlotActivity reports the number of broadcasts and listens registered in
 // the current slot. Test/trace helper.
 func (nw *Network) SlotActivity() (broadcasts, listens int) {

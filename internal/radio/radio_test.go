@@ -199,25 +199,6 @@ func TestGrowChannels(t *testing.T) {
 	}
 }
 
-func TestBroadcastersOn(t *testing.T) {
-	nw := NewNetwork(4, 2)
-	begin(nw, 0, 2)
-	if nw.BroadcastersOn(0) != 0 {
-		t.Fatal("fresh channel has broadcasters")
-	}
-	nw.Broadcast(0, 0, MsgM)
-	nw.Broadcast(1, 0, MsgM)
-	nw.Broadcast(2, 0, MsgM)
-	if got := nw.BroadcastersOn(0); got != 3 {
-		t.Fatalf("BroadcastersOn = %d, want 3", got)
-	}
-	b, l := nw.SlotActivity()
-	if b != 3 || l != 0 {
-		t.Fatalf("SlotActivity = (%d,%d), want (3,0)", b, l)
-	}
-	nw.EndSlot()
-}
-
 func TestModelPanics(t *testing.T) {
 	cases := map[string]func(){
 		"listen outside slot": func() {

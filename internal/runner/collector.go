@@ -1,10 +1,10 @@
 package runner
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
+	"multicast/internal/jsonenc"
 	"multicast/internal/sim"
 	"multicast/internal/stats"
 )
@@ -92,44 +92,34 @@ func (c *Collector) EveEnergy() stats.Summary { return c.eveEnergy.Summary() }
 // AllInformed summarizes the per-trial all-informed slots (-1 = never).
 func (c *Collector) AllInformed() stats.Summary { return c.allInformed.Summary() }
 
-// collectorJSON is the Collector wire format (the payload of shard
-// summary files written by cmd/mcast -summary-out), as decoded by
-// UnmarshalJSON; AppendJSON writes the same fields in the same order.
-type collectorJSON struct {
-	Trials       int64               `json:"trials"`
-	Slots        *stats.Accumulator  `json:"slots"`
-	MaxEnergy    *stats.Accumulator  `json:"max_node_energy"`
-	SourceEnergy *stats.Accumulator  `json:"source_energy"`
-	MeanEnergy   *stats.Accumulator  `json:"mean_node_energy"`
-	EveEnergy    *stats.Accumulator  `json:"eve_energy"`
-	AllInformed  *stats.Accumulator  `json:"all_informed_slot"`
-	Invariants   sim.InvariantCounts `json:"invariants"`
-}
-
-// namedAccumulator is one of a Collector's accumulators with its wire
-// name.
+// namedAccumulator is one of a Collector's accumulators with the
+// literal that precedes it on the wire: `,"<name>":`.
 type namedAccumulator struct {
-	name string
-	acc  *stats.Accumulator
+	field string
+	acc   *stats.Accumulator
 }
 
-// accumulators lists c's accumulators with their wire names, in wire
+// name returns the accumulator's wire name.
+func (a namedAccumulator) name() string { return a.field[2 : len(a.field)-2] }
+
+// accumulators lists c's accumulators with their wire fields, in wire
 // order.
 func (c *Collector) accumulators() [6]namedAccumulator {
 	return [6]namedAccumulator{
-		{"slots", c.slots},
-		{"max_node_energy", c.maxEnergy},
-		{"source_energy", c.sourceEnergy},
-		{"mean_node_energy", c.meanEnergy},
-		{"eve_energy", c.eveEnergy},
-		{"all_informed_slot", c.allInformed},
+		{`,"slots":`, c.slots},
+		{`,"max_node_energy":`, c.maxEnergy},
+		{`,"source_energy":`, c.sourceEnergy},
+		{`,"mean_node_energy":`, c.meanEnergy},
+		{`,"eve_energy":`, c.eveEnergy},
+		{`,"all_informed_slot":`, c.allInformed},
 	}
 }
 
 // AppendJSON appends the full collector state as compact JSON for
-// cross-machine merges — exactly the bytes encoding/json writes for
-// collectorJSON, which artifact checksums depend on. A nil collector
-// encodes as null.
+// cross-machine merges — exactly the bytes encoding/json writes for the
+// fields trials, slots, max_node_energy, source_energy,
+// mean_node_energy, eve_energy, all_informed_slot and invariants, which
+// artifact checksums depend on. A nil collector encodes as null.
 func (c *Collector) AppendJSON(dst []byte) ([]byte, error) {
 	if c == nil {
 		return append(dst, "null"...), nil
@@ -138,9 +128,7 @@ func (c *Collector) AppendJSON(dst []byte) ([]byte, error) {
 	dst = strconv.AppendInt(dst, c.trials, 10)
 	var err error
 	for _, a := range c.accumulators() {
-		dst = append(dst, `,"`...)
-		dst = append(dst, a.name...)
-		dst = append(dst, `":`...)
+		dst = append(dst, a.field...)
 		if dst, err = a.acc.AppendJSON(dst); err != nil {
 			return nil, err
 		}
@@ -153,40 +141,41 @@ func (c *Collector) AppendJSON(dst []byte) ([]byte, error) {
 // MarshalJSON encodes the full collector state (see AppendJSON).
 func (c *Collector) MarshalJSON() ([]byte, error) { return c.AppendJSON(nil) }
 
-// UnmarshalJSON restores a collector marshalled by MarshalJSON. Every
-// accumulator must account for every trial: each trial adds one sample
-// to each, counted or, for a non-finite mean energy, dropped.
+// UnmarshalJSON restores a collector marshalled by MarshalJSON,
+// indented or not. Every accumulator must account for every trial: each
+// trial adds one sample to each, counted or, for a non-finite mean
+// energy, dropped.
 func (c *Collector) UnmarshalJSON(data []byte) error {
-	j := collectorJSON{
-		Slots:        stats.NewAccumulator(),
-		MaxEnergy:    stats.NewAccumulator(),
-		SourceEnergy: stats.NewAccumulator(),
-		MeanEnergy:   stats.NewAccumulator(),
-		EveEnergy:    stats.NewAccumulator(),
-		AllInformed:  stats.NewAccumulator(),
-	}
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
+	r := jsonenc.NewIndentedReader(data)
 	out := Collector{
-		trials:       j.Trials,
-		slots:        j.Slots,
-		maxEnergy:    j.MaxEnergy,
-		sourceEnergy: j.SourceEnergy,
-		meanEnergy:   j.MeanEnergy,
-		eveEnergy:    j.EveEnergy,
-		allInformed:  j.AllInformed,
-		invariants:   j.Invariants,
+		slots:        new(stats.Accumulator),
+		maxEnergy:    new(stats.Accumulator),
+		sourceEnergy: new(stats.Accumulator),
+		meanEnergy:   new(stats.Accumulator),
+		eveEnergy:    new(stats.Accumulator),
+		allInformed:  new(stats.Accumulator),
 	}
+	r.Expect(`{"trials":`)
+	out.trials = r.Int(64)
 	for _, a := range out.accumulators() {
-		// An explicit JSON null overwrites the pre-seeded accumulator
-		// with nil; reject that as corrupt rather than crashing later.
-		if a.acc == nil {
+		r.Expect(a.field)
+		if r.Accept("null") {
 			return fmt.Errorf("runner: collector state is missing an accumulator")
 		}
-		if n := a.acc.Count() + a.acc.Dropped(); n != j.Trials {
+		if err := a.acc.ReadJSON(&r); err != nil {
+			return err
+		}
+	}
+	r.Expect(`,"invariants":`)
+	out.invariants.ReadJSON(&r)
+	r.Expect("}")
+	if err := r.End(); err != nil {
+		return err
+	}
+	for _, a := range out.accumulators() {
+		if n := a.acc.Count() + a.acc.Dropped(); n != out.trials {
 			return fmt.Errorf("runner: inconsistent collector state (trials=%d, %s count=%d dropped=%d)",
-				j.Trials, a.name, a.acc.Count(), a.acc.Dropped())
+				out.trials, a.name(), a.acc.Count(), a.acc.Dropped())
 		}
 	}
 	*c = out

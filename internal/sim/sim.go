@@ -34,6 +34,7 @@ import (
 
 	"multicast/internal/adversary"
 	"multicast/internal/bitset"
+	"multicast/internal/jsonenc"
 	"multicast/internal/protocol"
 	"multicast/internal/radio"
 	"multicast/internal/rng"
@@ -222,6 +223,19 @@ func (c InvariantCounts) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `,"HaltBeforeAllHelpers":`...)
 	dst = strconv.AppendInt(dst, int64(c.HaltBeforeAllHelpers), 10)
 	return append(dst, '}')
+}
+
+// ReadJSON reads c as AppendJSON writes it; r reports any error.
+func (c *InvariantCounts) ReadJSON(r *jsonenc.Reader) {
+	r.Expect(`{"HaltedUninformed":`)
+	c.HaltedUninformed = int(r.Int(strconv.IntSize))
+	r.Expect(`,"HaltBeforeAllInformed":`)
+	c.HaltBeforeAllInformed = int(r.Int(strconv.IntSize))
+	r.Expect(`,"HelperBeforeAllInformed":`)
+	c.HelperBeforeAllInformed = int(r.Int(strconv.IntSize))
+	r.Expect(`,"HaltBeforeAllHelpers":`)
+	c.HaltBeforeAllHelpers = int(r.Int(strconv.IntSize))
+	r.Expect("}")
 }
 
 // Any reports whether any invariant was violated.

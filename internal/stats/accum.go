@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -170,25 +169,11 @@ func (a *Accumulator) Summary() Summary {
 	return s
 }
 
-// accumJSON is the Accumulator wire format, as decoded by
-// UnmarshalJSON; AppendJSON writes the same fields in the same order.
-// Floats survive the round trip exactly: the encoding is the shortest
-// representation that parses back to the identical float64.
-type accumJSON struct {
-	Count   int64     `json:"count"`
-	Dropped int64     `json:"dropped,omitempty"`
-	Mean    float64   `json:"mean"`
-	M2      float64   `json:"m2"`
-	Min     float64   `json:"min"`
-	Max     float64   `json:"max"`
-	Cap     int       `json:"cap"`
-	Samples []float64 `json:"samples"`
-}
-
 // AppendJSON appends the full accumulator state as compact JSON, so
 // shards summarized on separate machines can be merged from their
-// artifacts. The bytes are exactly what encoding/json writes for
-// accumJSON (artifact checksums depend on it): retained samples encode
+// artifacts. The bytes are exactly what encoding/json writes for the
+// fields count, dropped (omitted when zero), mean, m2, min, max, cap and
+// samples (artifact checksums depend on it): retained samples encode
 // as null when none were ever kept, min and max as 0 at count 0, where
 // they are meaningless. A nil accumulator encodes as null. Non-finite
 // state has no JSON form and is refused as encoding/json refuses it.
@@ -237,26 +222,68 @@ func (a *Accumulator) AppendJSON(dst []byte) ([]byte, error) {
 // MarshalJSON encodes the full accumulator state (see AppendJSON).
 func (a *Accumulator) MarshalJSON() ([]byte, error) { return a.AppendJSON(nil) }
 
-// UnmarshalJSON restores an accumulator marshalled by MarshalJSON.
+// UnmarshalJSON restores an accumulator marshalled by MarshalJSON,
+// indented or not.
 func (a *Accumulator) UnmarshalJSON(data []byte) error {
-	var j accumJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	r := jsonenc.NewIndentedReader(data)
+	var b Accumulator
+	if err := b.ReadJSON(&r); err != nil {
 		return err
 	}
-	if j.Count < 0 || j.Dropped < 0 || j.Cap < 1 || int64(len(j.Samples)) > j.Count || len(j.Samples) > j.Cap {
-		return fmt.Errorf("stats: invalid accumulator state (count=%d dropped=%d cap=%d samples=%d)",
-			j.Count, j.Dropped, j.Cap, len(j.Samples))
+	if err := r.End(); err != nil {
+		return err
 	}
-	for _, x := range j.Samples {
+	*a = b
+	return nil
+}
+
+// ReadJSON reads one accumulator as AppendJSON writes it from r and
+// checks its state: no negative count or dropped tally, a positive cap,
+// no more retained samples than the count or the cap, and every sample
+// finite. On an error a is unchanged.
+func (a *Accumulator) ReadJSON(r *jsonenc.Reader) error {
+	var b Accumulator
+	r.Expect(`{"count":`)
+	b.count = r.Int(64)
+	if r.Accept(`,"dropped":`) {
+		b.dropped = r.Int(64)
+	}
+	r.Expect(`,"mean":`)
+	b.mean = r.Float()
+	r.Expect(`,"m2":`)
+	b.m2 = r.Float()
+	r.Expect(`,"min":`)
+	b.min = r.Float()
+	r.Expect(`,"max":`)
+	b.max = r.Float()
+	r.Expect(`,"cap":`)
+	b.cap = int(r.Int(strconv.IntSize))
+	r.Expect(`,"samples":`)
+	if !r.Accept("null") {
+		r.Expect("[")
+		// Size the samples once: no more than count or cap, and no more
+		// than the input could hold.
+		b.samples = make([]float64, 0, max(0, min(b.count, int64(b.cap), int64(r.Len()/2+1))))
+		for r.Err() == nil && !r.Accept("]") {
+			if len(b.samples) > 0 {
+				r.Expect(",")
+			}
+			b.samples = append(b.samples, r.Float())
+		}
+	}
+	r.Expect("}")
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if b.count < 0 || b.dropped < 0 || b.cap < 1 || int64(len(b.samples)) > b.count || len(b.samples) > b.cap {
+		return fmt.Errorf("stats: invalid accumulator state (count=%d dropped=%d cap=%d samples=%d)",
+			b.count, b.dropped, b.cap, len(b.samples))
+	}
+	for _, x := range b.samples {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return fmt.Errorf("stats: non-finite retained sample in accumulator JSON")
 		}
 	}
-	*a = Accumulator{
-		count: j.Count, dropped: j.Dropped,
-		mean: j.Mean, m2: j.M2,
-		min: j.Min, max: j.Max,
-		samples: j.Samples, cap: j.Cap,
-	}
+	*a = b
 	return nil
 }

@@ -181,6 +181,19 @@ func TestAccumulatorJSONRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// accumJSON is the Accumulator wire format as encoding/json writes it:
+// the reference AppendJSON must reproduce byte for byte.
+type accumJSON struct {
+	Count   int64     `json:"count"`
+	Dropped int64     `json:"dropped,omitempty"`
+	Mean    float64   `json:"mean"`
+	M2      float64   `json:"m2"`
+	Min     float64   `json:"min"`
+	Max     float64   `json:"max"`
+	Cap     int       `json:"cap"`
+	Samples []float64 `json:"samples"`
+}
+
 // Non-finite state has no JSON form: wherever it sits, AppendJSON and
 // MarshalJSON must refuse it exactly as encoding/json refuses the wire
 // struct, and finite state must encode to the same bytes.
