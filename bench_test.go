@@ -1,14 +1,15 @@
 package multicast_test
 
-// One benchmark per reproduction experiment (E1–E14, DESIGN.md §3): each
+// One benchmark per reproduction experiment (E1–E14; `mcbench -list`
+// names them): each
 // runs the experiment's workload in quick mode and reports the headline
 // metric the paper's claim is about via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
 // regenerates (a trimmed version of) every table. The full tables are
-// produced by `go run ./cmd/mcbench`. The Ablation* benchmarks probe the
-// design choices DESIGN.md calls out (the n/2 channel rule and the α
+// produced by `go run ./cmd/mcbench`. The Ablation* benchmarks probe two
+// design choices of the implementation (the n/2 channel rule and the α
 // trade-off of MultiCastAdv).
 
 import (

@@ -32,16 +32,16 @@ type CampaignEvent = driver.Event
 
 // Campaign progress event kinds (CampaignEvent.Kind).
 const (
-	// CampaignShardStart: a shard worker attempt begins (Done cells
-	// already checkpointed when resuming).
+	// CampaignShardStart: a shard's attempt begins (Done cells already
+	// checkpointed when resuming).
 	CampaignShardStart = driver.EventStart
-	// CampaignShardCell: a shard worker completed and checkpointed one
-	// grid cell.
+	// CampaignShardCell: a shard folded and checkpointed one more grid
+	// cell.
 	CampaignShardCell = driver.EventCell
 	// CampaignShardDone: a shard's artifact is complete on disk.
 	CampaignShardDone = driver.EventShardDone
-	// CampaignShardRetry: a shard attempt failed and will be retried,
-	// resuming from its checkpoint.
+	// CampaignShardRetry: an attempt failed with this shard unfinished
+	// and will be retried, resuming from its checkpoint.
 	CampaignShardRetry = driver.EventRetry
 	// CampaignShardDiscard: a corrupt or misdelivered shard artifact was
 	// deleted and its shard re-runs (Err carries the reason).
@@ -56,27 +56,6 @@ const (
 	// CampaignCellCacheMiss: the cell was simulated (and its result stored).
 	CampaignCellCacheMiss = driver.CacheMiss
 )
-
-// CampaignSchedule picks how a driven campaign's grid cells are
-// distributed over workers; checkpoints are schedule-agnostic, so a
-// campaign killed under one schedule resumes exactly under the other.
-type CampaignSchedule = driver.Schedule
-
-const (
-	// CampaignScheduleStatic (the default, also the zero value) pins
-	// shard i to the cells g ≡ i (mod k), one worker pool per shard.
-	CampaignScheduleStatic = driver.ScheduleStatic
-	// CampaignScheduleSteal runs one work-stealing pool over the whole
-	// grid: workers claim contiguous cell ranges and re-split the largest
-	// remaining range when one goes idle, so heterogeneous workers finish
-	// together. Results land in ascending grid order per shard, so the
-	// merged summary stays bit-identical to the static run's.
-	CampaignScheduleSteal = driver.ScheduleSteal
-)
-
-// ParseCampaignSchedule resolves a schedule name ("static", "steal";
-// empty means static) — the -drive-schedule CLI grammar.
-func ParseCampaignSchedule(s string) (CampaignSchedule, error) { return driver.ParseSchedule(s) }
 
 // ErrCorruptArtifact marks a campaign artifact whose bytes cannot be
 // trusted (truncated mid-JSON, failing its content checksum); test with
@@ -113,12 +92,13 @@ func NewChaosInjector(p ChaosPlan) (*ChaosInjector, error) { return chaos.New(p)
 func ParseChaosRules(s string) ([]ChaosRule, error) { return chaos.ParseRules(s) }
 
 // CampaignPlan describes a driven campaign: the whole (point × trial)
-// grid split into Shards shard workers that run concurrently, each
-// checkpointing its progress at grid-cell granularity into Dir, with
-// failed shards retried (resuming at their next undone cell) up to
-// Retries times. The merged result is bit-identical to the unsharded
-// run's summary — shard count, worker counts, and interruptions never
-// change results, only who computes which cell when.
+// grid split into Shards shard artifacts, computed by one in-process
+// worker pool that checkpoints every shard's progress at grid-cell
+// granularity into Dir, with a failed attempt retried (resuming every
+// unfinished shard at its next undone cell) up to Retries times. The
+// merged result is bit-identical to the unsharded run's summary — shard
+// count, worker counts, and interruptions never change results, only
+// who computes which cell when.
 type CampaignPlan struct {
 	// Trials is the trial count per point; trial t of point p runs with
 	// the point's seed + t (the runner's determinism contract).
@@ -126,17 +106,13 @@ type CampaignPlan struct {
 	// Shards is k: shard i owns the grid cells g ≡ i (mod k). Zero
 	// means 1.
 	Shards int
-	// Schedule picks who computes those cells: CampaignScheduleStatic
-	// (default) runs each shard on its own worker pool;
-	// CampaignScheduleSteal runs one work-stealing pool over the whole
-	// grid. Artifacts are bit-identical either way.
-	Schedule CampaignSchedule
-	// Workers caps each shard worker's trial pool; 0 divides GOMAXPROCS
-	// evenly across shards.
+	// Workers is the pool's size per shard: Shards×Workers workers claim
+	// cells over the whole grid. 0 divides GOMAXPROCS evenly across
+	// shards.
 	Workers int
-	// Retries is how many times a failed shard is relaunched (resuming
-	// from its checkpoint) before the campaign fails; 0 fails on the
-	// first error.
+	// Retries is how many times a failed attempt of the pool is
+	// relaunched (resuming every unfinished shard from its checkpoint)
+	// before the campaign fails; 0 fails on the first error.
 	Retries int
 	// Dir is the campaign directory holding shard artifacts and
 	// checkpoints — the resume state. Required.
@@ -167,16 +143,15 @@ type CampaignPlan struct {
 	// set, CampaignShardCell events carry Cache = "hit" | "miss".
 	Progress func(CampaignEvent)
 	// Chaos, if non-nil, injects the given seeded fault schedule into
-	// the run (tests and drills only). Implies keep-going supervision:
-	// healthy shards finish even when a sibling fails, so the schedule
-	// plays out deterministically.
+	// the run (tests and drills only). A fault stops only the shard it
+	// hits — healthy shards finish — so the schedule plays out
+	// deterministically.
 	Chaos *ChaosInjector
 }
 
 func (p CampaignPlan) driverOptions() (driver.Options, error) {
 	o := driver.Options{
 		Shards:          max(p.Shards, 1),
-		Schedule:        p.Schedule,
 		Workers:         p.Workers,
 		Retries:         p.Retries,
 		Dir:             p.Dir,
@@ -208,8 +183,8 @@ func closeCache(store *cache.Store) {
 }
 
 // RunCampaign drives a single-workload campaign: Trials independently
-// seeded executions of cfg, sharded over CampaignPlan.Shards concurrent
-// workers with per-shard checkpointing, gathered and merged into the
+// seeded executions of cfg, split into CampaignPlan.Shards checkpointed
+// shards computed by one worker pool, gathered and merged into the
 // final summary. It is the in-process equivalent of launching k
 // `mcast -shard i/k` runs and merging their artifacts — without
 // shelling out, and with crash recovery: cancel or kill it mid-run and

@@ -27,24 +27,22 @@
 //	mcast -scenario duel -n 64 -trials 50000 -shard 1/2 -summary-out d1.json
 //	mcast -merge d0.json d1.json
 //
-// Driven campaigns supervise the whole shard fleet in one command:
-// -drive k launches k shard workers (in-process, or as mcast
-// subprocesses with -drive-exec), checkpoints each shard at grid-cell
-// granularity into -campaign-dir, retries failed shards, and merges the
-// artifacts automatically. A killed campaign resumes where it stopped:
+// Driven campaigns supervise the whole campaign in one command:
+// -drive k splits the grid into k shards computed by one in-process
+// worker pool, checkpoints each shard at grid-cell granularity into
+// -campaign-dir, retries failed attempts from the checkpoints, and
+// merges the artifacts automatically. A killed campaign resumes where
+// it stopped:
 //
 //	mcast -scenario duel -n 64 -trials 50000 -drive 3 -campaign-dir camp -summary-out duel.json
 //	# …killed mid-run? finish it:
 //	mcast -scenario duel -n 64 -trials 50000 -drive 3 -campaign-dir camp -resume -summary-out duel.json
 //
-// The cell scheduler is swappable: -drive-schedule steal replaces the
-// static per-shard worker pools with one work-stealing pool over the
-// whole grid (heterogeneous workers finish together; artifacts stay
-// byte-identical), and -progress-json streams every progress event as
-// one JSON object per line for orchestrators to parse ("-" puts the
-// stream on stdout and moves the human report to stderr):
+// -progress-json streams every progress event as one JSON object per
+// line for orchestrators to parse ("-" puts the stream on stdout and
+// moves the human report to stderr):
 //
-//	mcast -scenario duel -trials 50000 -drive 3 -drive-schedule steal \
+//	mcast -scenario duel -trials 50000 -drive 3 \
 //	  -campaign-dir camp -progress-json - > progress.jsonl
 //
 // Chaos drills inject seeded, reproducible faults into a driven
@@ -103,21 +101,18 @@ func main() {
 		shardStr    = flag.String("shard", "", "run shard i/k of the trial batch or sweep grid (e.g. 0/3); implies summary output")
 		sumOut      = flag.String("summary-out", "", "write the mergeable summary JSON to this path")
 		merge       = flag.Bool("merge", false, "merge the shard summary files given as arguments and print the combined summary")
-		workers     = flag.Int("workers", 0, "trial worker pool size (0 = GOMAXPROCS); does not affect results")
+		workers     = flag.Int("workers", 0, "trial worker pool size (0 = GOMAXPROCS; with -drive, workers per shard, 0 dividing GOMAXPROCS across the shards); does not affect results")
 		scenName    = flag.String("scenario", "", "run a registry scenario sweep (-trials per point; overrides -alg/-adv; see -list-scenarios)")
 		listScen    = flag.Bool("list-scenarios", false, "list the scenario registry and exit")
 		quick       = flag.Bool("quick", false, "with -scenario: expand the trimmed (smoke-test) point list")
 		timeout     = flag.Duration("timeout", 0, "abort the whole run after this long (e.g. 30m; interrupts in-flight executions cleanly)")
-		drive       = flag.Int("drive", 0, "drive the campaign with this many supervised shard workers (checkpointed; see -campaign-dir)")
-		driveExec   = flag.Bool("drive-exec", false, "with -drive: launch shard workers as mcast subprocesses instead of in-process")
-		driveSched  = flag.String("drive-schedule", "", "with -drive: grid-cell scheduling — static (default: shard i computes cells g = i mod k) or steal (one work-stealing pool over the whole grid; artifacts are bit-identical either way)")
+		drive       = flag.Int("drive", 0, "drive the campaign as this many checkpointed shards on one in-process worker pool (see -campaign-dir)")
 		progJSON    = flag.String("progress-json", "", "with -drive: also stream progress events as JSON lines to this path (\"-\" = stdout; the human report then moves to stderr)")
 		resume      = flag.Bool("resume", false, "with -drive: resume an interrupted campaign from -campaign-dir")
 		campDir     = flag.String("campaign-dir", "", "with -drive: directory for shard artifacts and checkpoints (default: <summary-out>.campaign or mcast-campaign)")
-		retries     = flag.Int("retries", 1, "with -drive: relaunches per failed shard before the campaign fails")
+		retries     = flag.Int("retries", 1, "with -drive: relaunches of the worker pool, from the checkpoints, before the campaign fails")
 		ckptEvery   = flag.Int("checkpoint-every", 1, "with -drive: grid cells between checkpoint flushes (1 = maximum crash safety; raise it to cut checkpoint I/O on huge campaigns)")
 		cacheDir    = flag.String("cache-dir", "", "with -drive: content-addressed cell result cache directory (created if needed) — cells whose results are already cached replay instead of simulating, byte-identically; discard the directory when the summary schema version changes")
-		crashAfter  = flag.Int("crash-after", 0, "with -drive: legacy alias of the chaos harness — kill the whole process after this many grid cells (prefer -chaos-faults crash@…)")
 		chaosSeed   = flag.Uint64("chaos-seed", 1, "with -chaos-faults: seed resolving every choice a fault rule leaves open (shard, cell, cut offset, flipped bit)")
 		chaosFaults = flag.String("chaos-faults", "", "with -drive: inject seeded faults — comma-separated kind[@shard[:cell[:attempt]]] rules, * = seeded choice (kinds: crash|torn-flush|corrupt-checkpoint|truncate-artifact|bit-flip-artifact|duplicate-shard|stall)")
 		chaosLog    = flag.String("chaos-log", "", "with -chaos-faults: write the canonical chaos event log (JSON lines) to this path")
@@ -138,9 +133,9 @@ func main() {
 		fatal(fmt.Errorf("-drive %d: shard worker count must be positive", *drive))
 	}
 	if *drive == 0 {
-		for _, name := range []string{"drive-exec", "drive-schedule", "progress-json", "resume",
+		for _, name := range []string{"progress-json", "resume",
 			"campaign-dir", "retries", "checkpoint-every", "cache-dir",
-			"crash-after", "chaos-seed", "chaos-faults", "chaos-log"} {
+			"chaos-seed", "chaos-faults", "chaos-log"} {
 			if setFlags[name] {
 				fatal(fmt.Errorf("-%s requires -drive", name))
 			}
@@ -152,31 +147,9 @@ func main() {
 		if *merge {
 			fatal(fmt.Errorf("-merge cannot combine with -drive (a driven campaign merges automatically)"))
 		}
-		if *driveExec {
-			// Subprocess workers neither checkpoint through the parent
-			// nor report cells to it — refuse the knobs instead of
-			// silently ignoring them.
-			for _, name := range []string{"checkpoint-every", "crash-after", "chaos-seed", "chaos-faults", "chaos-log"} {
-				if setFlags[name] {
-					fatal(fmt.Errorf("-%s has no effect with -drive-exec (subprocess workers restart from scratch)", name))
-				}
-			}
-			if setFlags["cache-dir"] {
-				// The cache seam lives in the in-process grid; children
-				// would simulate everything and the totals would lie.
-				fatal(fmt.Errorf("-cache-dir needs in-process shard workers (drop -drive-exec)"))
-			}
-		}
 		if *chaosFaults == "" && (setFlags["chaos-seed"] || setFlags["chaos-log"]) {
 			fatal(fmt.Errorf("-chaos-seed and -chaos-log require -chaos-faults (the fault schedule)"))
 		}
-	}
-	driveSchedule, err := multicast.ParseCampaignSchedule(*driveSched)
-	fatal(err)
-	if driveSchedule == multicast.CampaignScheduleSteal && *driveExec {
-		// Stealing streams per-cell results back into one fold stage;
-		// subprocess workers cannot.
-		fatal(fmt.Errorf("-drive-schedule steal needs in-process shard workers (drop -drive-exec)"))
 	}
 	var chaosInj *multicast.ChaosInjector
 	if *chaosFaults != "" {
@@ -216,11 +189,10 @@ func main() {
 			"scenario": true, "quick": true, "n": true, "budget": true, "seed": true,
 			"trials": true, "engine": true, "workers": true,
 			"shard": true, "summary-out": true,
-			"timeout": true, "drive": true, "drive-exec": true, "drive-schedule": true,
+			"timeout": true, "drive": true,
 			"progress-json": true, "resume": true,
 			"campaign-dir": true, "retries": true, "checkpoint-every": true, "cache-dir": true,
-			"crash-after": true,
-			"chaos-seed":  true, "chaos-faults": true, "chaos-log": true,
+			"chaos-seed": true, "chaos-faults": true, "chaos-log": true,
 		}
 		for name := range setFlags {
 			if !scenFlags[name] {
@@ -240,11 +212,10 @@ func main() {
 		}
 		if *drive > 0 {
 			fatal(deadline(driveScenario(ctx, *scenName, opts, *trials, driveFlags{
-				shards: *drive, exec: *driveExec, resume: *resume,
-				schedule: driveSchedule, progressJSON: *progJSON,
+				shards: *drive, resume: *resume, progressJSON: *progJSON,
 				dir: campaignDir(*campDir, *sumOut), workers: *workers,
 				retries: *retries, ckptEvery: *ckptEvery, engine: engine,
-				cacheDir: *cacheDir, crashAfter: *crashAfter, sumOut: *sumOut,
+				cacheDir: *cacheDir, sumOut: *sumOut,
 				chaos: chaosInj, chaosLog: *chaosLog,
 			})))
 			return
@@ -333,11 +304,10 @@ func main() {
 	if *drive > 0 {
 		cfg.Observer = nil
 		fatal(deadline(driveSingle(ctx, cfg, *trials, driveFlags{
-			shards: *drive, exec: *driveExec, resume: *resume,
-			schedule: driveSchedule, progressJSON: *progJSON,
+			shards: *drive, resume: *resume, progressJSON: *progJSON,
 			dir: campaignDir(*campDir, *sumOut), workers: *workers,
 			retries: *retries, ckptEvery: *ckptEvery, engine: engine,
-			cacheDir: *cacheDir, crashAfter: *crashAfter, sumOut: *sumOut,
+			cacheDir: *cacheDir, sumOut: *sumOut,
 			chaos: chaosInj, chaosLog: *chaosLog,
 		})))
 		return
@@ -390,14 +360,12 @@ func main() {
 }
 
 // singleSummary builds the artifact skeleton of a single-workload
-// campaign around its collector (nil: fresh empty). The skeleton comes
-// from the same constructor RunCampaign uses, so CLI and library
-// artifacts of one campaign always merge.
+// campaign around its collector. The skeleton comes from the same
+// constructor RunCampaign uses, so CLI and library artifacts of one
+// campaign always merge.
 func singleSummary(cfg multicast.Config, trials int, col *runner.Collector) *multicast.Summary {
 	s := multicast.NewSummary(cfg, trials)
-	if col != nil {
-		s.Points[0].Collector = col
-	}
+	s.Points[0].Collector = col
 	return s
 }
 

@@ -33,17 +33,14 @@ func lookupScenario(name string) (multicast.Scenario, error) {
 }
 
 // sweepSummary builds the artifact skeleton of a scenario-sweep
-// campaign around its per-point collectors (nil cols: fresh empty
-// ones). The skeleton comes from the same constructor
-// RunScenarioCampaign uses, so CLI and library artifacts of one
-// campaign always merge.
+// campaign around its per-point collectors. The skeleton comes from the
+// same constructor RunScenarioCampaign uses, so CLI and library
+// artifacts of one campaign always merge.
 func sweepSummary(scen multicast.Scenario, opts multicast.ScenarioOptions,
 	points []multicast.ScenarioPoint, trials int, cols []*runner.Collector) *multicast.Summary {
 	s := multicast.NewScenarioSummary(scen, opts.Seed, trials, points)
 	for i := range s.Points {
-		if cols != nil {
-			s.Points[i].Collector = cols[i]
-		}
+		s.Points[i].Collector = cols[i]
 	}
 	return s
 }

@@ -5,10 +5,10 @@
 // Usage:
 //
 //	mcbench -list             enumerate experiments
-//	mcbench                   run everything (can take ~10–20 minutes)
+//	mcbench                   run everything (about 3 minutes on a 2-vCPU VM)
 //	mcbench -run E3,E9        run a subset
-//	mcbench -quick            trimmed sweeps (~2 minutes)
-//	mcbench -markdown         emit GitHub-flavoured markdown (for EXPERIMENTS.md)
+//	mcbench -quick            trimmed sweeps (about 16 seconds on a 2-vCPU VM)
+//	mcbench -markdown         emit GitHub-flavoured markdown tables
 //	mcbench -bench-sim BENCH_sim.json           measure the dense and event engines (full and quick baselines)
 //	mcbench -bench-sim out.json -quick          engine-benchmark smoke run (CI)
 //	mcbench -check BENCH_sim.json -quick        perf-regression gate against the committed quick baseline

@@ -38,8 +38,9 @@
 //
 // Executions are deterministic given (Config, Seed); RunTrials fans seeds
 // out over all CPUs, and RunTrialsContext streams metrics (optionally one
-// shard of a multi-machine batch) without buffering. See DESIGN.md for
-// the system inventory and EXPERIMENTS.md for paper-vs-measured results.
+// shard of a multi-machine batch) without buffering. README.md tours the
+// system, and `mcbench` regenerates the paper-vs-measured tables
+// (E1–E14).
 //
 // # Engine selection
 //
@@ -114,15 +115,16 @@
 // Above the sweep layer sits the campaign layer: one versioned,
 // mergeable artifact schema (Summary; single workloads and scenario
 // sweeps share it) plus a resumable driver. RunCampaign and
-// RunScenarioCampaign launch CampaignPlan.Shards concurrent shard
-// workers over the flattened grid, checkpoint each shard's progress at
-// grid-cell granularity into CampaignPlan.Dir, retry failed shards from
-// their checkpoints, and merge the shard artifacts into the final
-// summary. Because checkpoints always cover a prefix of a shard's
-// in-order cell stream, a campaign killed at any instant and re-run
-// with Resume produces a summary bit-identical to an uninterrupted
-// run's. ReadSummary, MergeSummaries, and MergeSummaryFiles expose the
-// artifact layer directly (exact-coverage merge rules: one campaign
-// identity, all k distinct shards, full trial coverage, known schema
-// version), so library users never shell out to `mcast -merge`.
+// RunScenarioCampaign split the flattened grid into CampaignPlan.Shards
+// shards, compute their cells on one in-process worker pool, checkpoint
+// each shard's progress at grid-cell granularity into CampaignPlan.Dir,
+// retry a failed attempt from the checkpoints, and merge the shard
+// artifacts into the final summary. Each shard's cells fold in grid
+// order, so its checkpoint always covers a prefix of its slice, and a
+// campaign killed at any instant and re-run with Resume produces a
+// summary bit-identical to an uninterrupted run's. ReadSummary,
+// MergeSummaries, and MergeSummaryFiles expose the artifact layer
+// directly (exact-coverage merge rules: one campaign identity, all k
+// distinct shards, full trial coverage, known schema version), so
+// library users never shell out to `mcast -merge`.
 package multicast

@@ -3,7 +3,8 @@ package multicast
 import "multicast/internal/experiments"
 
 // Experiment is a runnable reproduction experiment (E1–E14); each checks
-// one theorem, lemma, or in-text claim of the paper. See DESIGN.md §3.
+// one theorem, lemma, or in-text claim of the paper (`mcbench -list`
+// names them).
 type Experiment = experiments.Experiment
 
 // ExperimentResult is a rendered experiment table.

@@ -67,8 +67,8 @@ const SchemaVersion = 1
 // label and full workload identity string (scenario.Config.Describe:
 // every outcome-determining parameter), and the cell's absolute seed
 // (point base seed + trial index). Campaign-level trial counts, shard
-// layouts, schedules, and worker counts are deliberately absent: they
-// never change what a cell computes, so an extended or re-sharded sweep
+// layouts, and worker counts are deliberately absent: they never
+// change what a cell computes, so an extended or re-sharded sweep
 // hits every cell it shares with a previous one.
 func Key(label, workload string, seed uint64) string {
 	var buf [keyBuf]byte

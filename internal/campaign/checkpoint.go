@@ -12,14 +12,14 @@ import (
 	"multicast/internal/sim"
 )
 
-// checkpointFile is the sidecar progress artifact a shard worker
-// updates as it runs: the partial shard summary plus how many of the
-// shard's grid cells it covers. Because the runner delivers cells in
-// ascending grid order, the covered cells are always the first
-// DoneCells of the shard's slice, so resuming is "skip that many cells
-// and keep folding into the restored collectors" — which replays the
-// exact accumulator insertion order and keeps the finished artifact
-// bit-identical to an uninterrupted run's.
+// checkpointFile is the sidecar progress artifact a shard updates as
+// its cells fold in: the partial shard summary plus how many of the
+// shard's grid cells it covers. Because cells fold in ascending grid
+// order, the covered cells are always the first DoneCells of the
+// shard's slice, so resuming is "skip that many cells and keep folding
+// into the restored collectors" — which replays the exact accumulator
+// insertion order and keeps the finished artifact bit-identical to an
+// uninterrupted run's.
 type checkpointFile struct {
 	SchemaVersion int `json:"schema_version"`
 	// Checksum is the hex sha256 of the file's compact JSON encoding
@@ -29,14 +29,12 @@ type checkpointFile struct {
 	Checksum  string   `json:"checksum"`
 	DoneCells int      `json:"done_cells"`
 	Summary   *Summary `json:"summary"`
-	// Schedule names the scheduler that wrote the sidecar ("steal" for
-	// the driver's work-stealing pool; empty means the static mod-k
-	// layout). Additive — older sidecars decode with the field empty and
-	// their checksums still verify, so no schema bump. The field is
-	// informational: the lease a resumed worker needs is exactly the
-	// folded prefix DoneCells records, because both schedulers fold a
-	// shard's cells in ascending grid order — which is why a campaign
-	// interrupted under one schedule resumes exactly under the other.
+	// Schedule is "steal" in sidecars the driver's former work-stealing
+	// schedule wrote; nothing writes it any more. It is still decoded and
+	// re-encoded because Resume verifies the checksum by re-encoding the
+	// decoded file: dropping the field would refuse every such sidecar
+	// as corrupt. Resume ignores its value — DoneCells alone says where a
+	// shard resumes.
 	Schedule string `json:"schedule,omitempty"`
 }
 
@@ -108,12 +106,6 @@ type Checkpointer struct {
 	// chaos harness's torn-flush seam. Set it before the first Add;
 	// production checkpointers leave it nil.
 	Fault FaultPoint
-
-	// Schedule, when non-empty, is stamped into every flushed sidecar
-	// (the additive schedule field) naming the scheduler driving this
-	// shard. Resume ignores the stored value — prefix semantics are
-	// schedule-agnostic — so set it for observability, not correctness.
-	Schedule string
 }
 
 // NewCheckpointer returns a checkpointer persisting to path, starting
@@ -210,7 +202,6 @@ func (c *Checkpointer) Flush() error {
 		SchemaVersion: SchemaVersion,
 		DoneCells:     c.done,
 		Summary:       c.sum,
-		Schedule:      c.Schedule,
 	}
 	data, at, err := f.appendJSON(c.buf[:0], c.cached)
 	if err != nil {
@@ -230,8 +221,8 @@ func (c *Checkpointer) Flush() error {
 	return nil
 }
 
-// Done returns the number of grid cells folded in so far — the Skip
-// value a resumed runner plan needs.
+// Done returns the number of grid cells folded in so far — how many of
+// the shard's cells a resumed run skips.
 func (c *Checkpointer) Done() int { return c.done }
 
 // Summary returns the shard summary under accumulation. The caller owns

@@ -27,18 +27,15 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		s.ShardIndex, s.ShardCount = shardIdx, shardCount
 		return s
 	}
-	plan := func(skip int) runner.SweepPlan {
-		return runner.SweepPlan{
-			Trials:  trials,
-			Shard:   runner.Shard{Index: shardIdx, Count: shardCount},
-			Skip:    skip,
-			Workers: 2,
-		}
+	plan := runner.SweepPlan{
+		Trials:  trials,
+		Shard:   runner.Shard{Index: shardIdx, Count: shardCount},
+		Workers: 2,
 	}
 
 	// Reference: the uninterrupted shard artifact.
 	want := shardTemplate()
-	err := runner.RunSweep(context.Background(), points, plan(0),
+	err := runner.RunSweep(context.Background(), points, plan,
 		func(p, tr int, m sim.Metrics) error { return want.Points[p].Collector.Add(tr, m) })
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +55,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		// a crash before the first cell: no checkpoint exists at all.
 		if stop > 0 {
 			ck := NewCheckpointer(path, shardTemplate(), 1)
-			err := runner.RunSweep(context.Background(), points, plan(0),
+			err := runner.RunSweep(context.Background(), points, plan,
 				func(p, tr int, m sim.Metrics) error {
 					if err := ck.Add(p, tr, m); err != nil {
 						return err
@@ -82,8 +79,16 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if done != stop {
 			t.Fatalf("stop=%d: resumed at %d cells", stop, done)
 		}
-		err = runner.RunSweep(context.Background(), points, plan(done),
-			func(p, tr int, m sim.Metrics) error { return ck.Add(p, tr, m) })
+		// The shard's cells arrive in ascending order, so the first done
+		// of them are exactly the checkpointed prefix.
+		seen := 0
+		err = runner.RunSweep(context.Background(), points, plan,
+			func(p, tr int, m sim.Metrics) error {
+				if seen++; seen <= done {
+					return nil
+				}
+				return ck.Add(p, tr, m)
+			})
 		if err != nil {
 			t.Fatalf("stop=%d: resumed run: %v", stop, err)
 		}
@@ -142,74 +147,42 @@ func TestCheckpointResumeRefusesMismatch(t *testing.T) {
 	}
 }
 
-// The schedule field is additive: a static checkpointer (Schedule
-// empty) writes a sidecar without the key at all, so pre-field sidecars
-// and their checksums are unchanged; a stamped sidecar round-trips and
-// resumes under either schedule, because the folded prefix is the lease
-// regardless of who computed it; and because the checksum covers the
-// field, tampering with it is refused as corrupt.
+// The schedule key is legacy: Flush never writes it, so sidecars keep
+// the layout the static schedule always wrote; a sidecar the steal
+// schedule stamped "schedule":"steal" still resumes (see
+// TestFixturesReencodeByteIdentical); and because the checksum covers
+// the key, tampering with it is refused as corrupt.
 func TestCheckpointScheduleField(t *testing.T) {
 	dir := t.TempDir()
-	tmpl := func() *Summary { return template(3).CloneEmpty() }
-
-	// Empty schedule: no "schedule" key in the encoding (omitempty), so
-	// the bytes — and therefore the checksum scheme — match what the
-	// field-free layout produced.
-	static := filepath.Join(dir, "static.ckpt")
-	if err := NewCheckpointer(static, tmpl(), 1).Flush(); err != nil {
+	fresh := filepath.Join(dir, "fresh.ckpt")
+	if err := NewCheckpointer(fresh, template(3).CloneEmpty(), 1).Flush(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(static)
+	data, err := os.ReadFile(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(data), "schedule") {
-		t.Errorf("static sidecar mentions schedule: %s", data)
+		t.Errorf("flushed sidecar mentions schedule: %s", data)
 	}
 
-	// Stamped sidecar: field present, resume succeeds — including under
-	// the other schedule — and reports the folded prefix.
-	points := testPoints()
-	stolen := filepath.Join(dir, "steal.ckpt")
-	ck := NewCheckpointer(stolen, tmpl(), 1)
-	ck.Schedule = "steal"
-	err = runner.RunSweep(context.Background(), points, runner.SweepPlan{Trials: 3},
-		func(p, tr int, m sim.Metrics) error {
-			if err := ck.Add(p, tr, m); err != nil {
-				return err
-			}
-			if ck.Done() == 2 {
-				return fmt.Errorf("injected crash")
-			}
-			return nil
-		})
-	if err == nil {
-		t.Fatal("seeding run did not crash")
-	}
-	data, err = os.ReadFile(stolen)
+	data, err = os.ReadFile("testdata/checkpoint.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"schedule":"steal"`) {
-		t.Errorf("stamped sidecar lacks the schedule field: %s", data)
-	}
-	for _, resumer := range []string{"", "steal"} {
-		rck := NewCheckpointer(stolen, tmpl(), 1)
-		rck.Schedule = resumer
-		if done, err := rck.Resume(); err != nil || done != 2 {
-			t.Errorf("resume as %q: done=%d err=%v, want 2, nil", resumer, done, err)
-		}
-	}
-
-	// Tampering with the field breaks the checksum.
 	tampered := strings.Replace(string(data), `"schedule":"steal"`, `"schedule":"static"`, 1)
 	if tampered == string(data) {
 		t.Fatal("tamper substitution did not apply")
 	}
+	var f checkpointFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	stolen := filepath.Join(dir, "steal.ckpt")
 	if err := os.WriteFile(stolen, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCheckpointer(stolen, tmpl(), 1).Resume(); !errors.Is(err, ErrCorruptCheckpoint) {
+	if _, err := NewCheckpointer(stolen, f.Summary.CloneEmpty(), 1).Resume(); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Errorf("tampered schedule: err = %v, want ErrCorruptCheckpoint", err)
 	}
 }

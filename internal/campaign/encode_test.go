@@ -363,11 +363,13 @@ func referenceChecksummed(t *testing.T, v any, checksum *string) []byte {
 }
 
 // The committed fixtures were written by the encoding/json encoders the
-// append encoders replaced; they hold escaped labels, -0, a subnormal,
-// values on both sides of the 1e-6 and 1e21 notation switch, dropped
-// samples, an above-cap collector and an empty one. Each must still
-// load, and re-encoding it must reproduce the file byte for byte, or
-// every artifact and sidecar already on disk would fail its checksum.
+// append encoders replaced (checkpoint-noschedule.ckpt is
+// checkpoint.ckpt re-flushed without its schedule key); they hold
+// escaped labels, -0, a subnormal, values on both sides of the 1e-6 and
+// 1e21 notation switch, dropped samples, an above-cap collector and an
+// empty one. Each must still load, and re-encoding it must reproduce
+// the file byte for byte, or every artifact and sidecar already on disk
+// would fail its checksum.
 func TestFixturesReencodeByteIdentical(t *testing.T) {
 	t.Run("shard-artifact", func(t *testing.T) {
 		const fixture = "testdata/shard-artifact.json"
@@ -388,29 +390,37 @@ func TestFixturesReencodeByteIdentical(t *testing.T) {
 		}
 	})
 	t.Run("checkpoint", func(t *testing.T) {
-		const fixture = "testdata/checkpoint.ckpt"
-		want, err := os.ReadFile(fixture)
+		// checkpoint.ckpt carries the "schedule":"steal" key the steal
+		// schedule stamped; checkpoint-noschedule.ckpt is the same state
+		// in the layout Flush writes. Both resume, and re-flushing either
+		// writes the schedule-free bytes.
+		want, err := os.ReadFile("testdata/checkpoint-noschedule.ckpt")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var f checkpointFile
-		if err := json.Unmarshal(want, &f); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "shard.ckpt")
-		if err := os.WriteFile(path, want, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ck := NewCheckpointer(path, f.Summary.CloneEmpty(), 1)
-		ck.Schedule = f.Schedule
-		if done, err := ck.Resume(); err != nil || done != f.DoneCells {
-			t.Fatalf("Resume = %d, %v; want %d cells", done, err, f.DoneCells)
-		}
-		if err := ck.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("re-flushed sidecar differs from %s (%v):\n%s", fixture, err, got)
+		for _, fixture := range []string{"testdata/checkpoint.ckpt", "testdata/checkpoint-noschedule.ckpt"} {
+			data, err := os.ReadFile(fixture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var f checkpointFile
+			if err := json.Unmarshal(data, &f); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "shard.ckpt")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ck := NewCheckpointer(path, f.Summary.CloneEmpty(), 1)
+			if done, err := ck.Resume(); err != nil || done != f.DoneCells {
+				t.Fatalf("%s: Resume = %d, %v; want %d cells", fixture, done, err, f.DoneCells)
+			}
+			if err := ck.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: re-flushed sidecar differs from testdata/checkpoint-noschedule.ckpt (%v):\n%s", fixture, err, got)
+			}
 		}
 	})
 }
@@ -451,12 +461,10 @@ func TestCheckpointFlushMatchesReference(t *testing.T) {
 		return s
 	}
 	path := func(i int) string { return filepath.Join(dir, fmt.Sprintf("shard%d.ckpt", i)) }
-	schedule := func(i int) string { return []string{"", "steal", "x<y>"}[i] }
 
 	var seen []byte
 	open := func(i int) *Checkpointer {
 		ck := NewCheckpointer(path(i), shardTmpl(i), 1)
-		ck.Schedule = schedule(i)
 		ck.Fault = func(data []byte) *Fault {
 			seen = append(seen[:0], data...)
 			return nil
@@ -538,7 +546,7 @@ func TestCheckpointFlushMatchesReference(t *testing.T) {
 // encoder.
 func referenceSidecar(t *testing.T, ck *Checkpointer) []byte {
 	t.Helper()
-	f := checkpointFile{SchemaVersion: SchemaVersion, DoneCells: ck.Done(), Summary: ck.Summary(), Schedule: ck.Schedule}
+	f := checkpointFile{SchemaVersion: SchemaVersion, DoneCells: ck.Done(), Summary: ck.Summary()}
 	return referenceChecksummed(t, &f, &f.Checksum)
 }
 

@@ -20,11 +20,11 @@
 // in internal/driver (ChaosHooks), which this package glues together
 // via Injector.Hooks.
 //
-// The hooks are schedule-agnostic: under the driver's work-stealing
-// schedule the per-cell hooks fire on fold ordinals — the order cells
-// land in a shard's checkpoint, which is deterministic per shard — not
-// on the racy order workers happened to compute them, so a seeded plan
-// plays out identically under either Options.Schedule.
+// The per-cell hooks fire on fold ordinals — the order cells land in a
+// shard's checkpoint, which is deterministic per shard — not on the racy
+// order the driver's pool happened to compute them, and a fault stops
+// only the shard it hits, so a seeded plan plays out identically on
+// every run.
 package chaos
 
 import (

@@ -1,13 +1,12 @@
 package chaos
 
 // The headline chaos deliverables: TestChaosRecoveryMatrix pins, for
-// every fault class at k ∈ {1, 3} under both the static and the
-// work-stealing schedule — with and without a pre-warmed, deliberately
-// tampered result cache — that a resumed or retried campaign merges
-// byte-identically to the unsharded run and that replaying the same
-// schedule yields an identical fault event log; FuzzChaosSchedule
-// holds the same invariant under randomized seeded schedules, with the
-// driver schedule part of the corpus signature.
+// every fault class at k ∈ {1, 3} — with and without a pre-warmed,
+// deliberately tampered result cache — that a resumed or retried
+// campaign merges byte-identically to a fault-free run and that
+// replaying the same schedule yields an identical fault event log;
+// FuzzChaosSchedule holds the same invariant under randomized seeded
+// schedules.
 
 import (
 	"bytes"
@@ -334,105 +333,99 @@ func TestChaosRecoveryMatrix(t *testing.T) {
 
 	for _, row := range rows {
 		for _, k := range []int{1, 3} {
-			// Every fault class must recover byte-identically under both
-			// schedules — and to the SAME clean bytes: the steal column
-			// reuses the static cleanDrivenBytes reference, so it also
-			// re-pins that stealing never changes a merged artifact.
-			for _, schedule := range []driver.Schedule{driver.ScheduleStatic, driver.ScheduleSteal} {
-				// The cache column replays every fault class over a
-				// pre-warmed result cache with one entry deliberately
-				// tampered: cells replay instead of simulating (and one
-				// re-simulates through the damage), yet the recovered
-				// artifact must stay byte-identical to the cache-free run.
-				for _, cached := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/k=%d/%s/cache=%v", row.name, k, schedule, cached), func(t *testing.T) {
-						shard := 0
-						if k > 1 {
-							shard = 1
+			// The cache column replays every fault class over a
+			// pre-warmed result cache with one entry deliberately
+			// tampered: cells replay instead of simulating (and one
+			// re-simulates through the damage), yet the recovered
+			// artifact must stay byte-identical to the cache-free run.
+			//
+			// The cells keep the `steal` segment they were named with
+			// when a static column ran beside them: the one pool grew out
+			// of the work-stealing pool (an idle worker takes any shard's
+			// next cell), and unchanged names keep each cell's results
+			// comparable with earlier runs of the matrix.
+			for _, cached := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/k=%d/steal/cache=%v", row.name, k, cached), func(t *testing.T) {
+					shard := 0
+					if k > 1 {
+						shard = 1
+					}
+					store := warmTamperedCache(t, k, cached)
+					plan := Plan{Seed: 7, Faults: row.faults(shard, k)}
+					run := func(dir string) (*campaign.Summary, []Event, error) {
+						inj, err := New(plan)
+						if err != nil {
+							t.Fatal(err)
 						}
-						store := warmTamperedCache(t, k, cached)
-						plan := Plan{Seed: 7, Faults: row.faults(shard, k)}
-						run := func(dir string) (*campaign.Summary, []Event, error) {
-							inj, err := New(plan)
-							if err != nil {
-								t.Fatal(err)
-							}
-							ctx := context.Background()
-							if row.timeout > 0 {
-								var cancel context.CancelFunc
-								ctx, cancel = context.WithTimeout(ctx, row.timeout)
-								defer cancel()
-							}
-							sum, err := driver.Run(ctx, testSpec(), driver.Options{
-								Shards: k, Workers: 2, Dir: dir, Retries: row.retries,
-								Schedule: schedule, Chaos: inj.Hooks(), Cache: store,
-							})
-							return sum, inj.Events(), err
+						ctx := context.Background()
+						if row.timeout > 0 {
+							var cancel context.CancelFunc
+							ctx, cancel = context.WithTimeout(ctx, row.timeout)
+							defer cancel()
 						}
+						sum, err := driver.Run(ctx, testSpec(), driver.Options{
+							Shards: k, Workers: 2, Dir: dir, Retries: row.retries,
+							Chaos: inj.Hooks(), Cache: store,
+						})
+						return sum, inj.Events(), err
+					}
 
-						dir := t.TempDir()
-						sum, ev1, err1 := run(dir)
-						// Replay the schedule in a fresh directory: the fault log —
-						// and the outcome — must be identical.
-						_, ev2, err2 := run(t.TempDir())
-						if !reflect.DeepEqual(ev1, ev2) {
-							t.Errorf("fault logs diverge between identical runs:\n 1: %+v\n 2: %+v", ev1, ev2)
-						}
-						if (err1 == nil) != (err2 == nil) {
-							t.Errorf("outcomes diverge between identical runs: %v vs %v", err1, err2)
-						}
-						wantEvents := 1
-						if row.name == "duplicate-shard" && k == 1 {
-							wantEvents = 0
-						}
-						if len(ev1) != wantEvents {
-							t.Errorf("%d fault events, want %d: %+v", len(ev1), wantEvents, ev1)
-						}
-						row.check(t, k, err1)
+					dir := t.TempDir()
+					sum, ev1, err1 := run(dir)
+					// Replay the schedule in a fresh directory: the fault log —
+					// and the outcome — must be identical.
+					_, ev2, err2 := run(t.TempDir())
+					if !reflect.DeepEqual(ev1, ev2) {
+						t.Errorf("fault logs diverge between identical runs:\n 1: %+v\n 2: %+v", ev1, ev2)
+					}
+					if (err1 == nil) != (err2 == nil) {
+						t.Errorf("outcomes diverge between identical runs: %v vs %v", err1, err2)
+					}
+					wantEvents := 1
+					if row.name == "duplicate-shard" && k == 1 {
+						wantEvents = 0
+					}
+					if len(ev1) != wantEvents {
+						t.Errorf("%d fault events, want %d: %+v", len(ev1), wantEvents, ev1)
+					}
+					row.check(t, k, err1)
 
-						if err1 != nil {
-							if row.drill != nil {
-								row.drill(t, dir, shard)
-							}
-							var rerr error
-							sum, rerr = driver.Run(context.Background(), testSpec(), driver.Options{
-								Shards: k, Workers: 2, Dir: dir, Resume: true, Schedule: schedule,
-								Cache: store,
-							})
-							if rerr != nil {
-								t.Fatalf("recovery resume: %v", rerr)
-							}
+					if err1 != nil {
+						if row.drill != nil {
+							row.drill(t, dir, shard)
 						}
-						if got := summaryBytes(t, sum); !bytes.Equal(got, cleanDrivenBytes(t, k)) {
-							t.Errorf("recovered merged artifact is not byte-identical to a fault-free k=%d run (%d vs %d bytes)",
-								k, len(got), len(cleanDrivenBytes(t, k)))
+						var rerr error
+						sum, rerr = driver.Run(context.Background(), testSpec(), driver.Options{
+							Shards: k, Workers: 2, Dir: dir, Resume: true, Cache: store,
+						})
+						if rerr != nil {
+							t.Fatalf("recovery resume: %v", rerr)
 						}
-						assertSameStats(t, sum, want)
-					})
-				}
+					}
+					if got := summaryBytes(t, sum); !bytes.Equal(got, cleanDrivenBytes(t, k)) {
+						t.Errorf("recovered merged artifact is not byte-identical to a fault-free k=%d run (%d vs %d bytes)",
+							k, len(got), len(cleanDrivenBytes(t, k)))
+					}
+					assertSameStats(t, sum, want)
+				})
 			}
 		}
 	}
 }
 
 // FuzzChaosSchedule drives randomized seeded schedules (all fault kinds
-// except stall, which needs a deadline) through the campaign — under
-// either driver schedule, per the corpus — and holds the matrix
-// invariants: the fault log replays identically, and after bounded
+// except stall, which needs a deadline) through the campaign and holds
+// the matrix invariants: the fault log replays identically, and after bounded
 // recovery the merged summary is byte-identical to the unsharded run.
 func FuzzChaosSchedule(f *testing.F) {
-	f.Add(uint64(1), uint(3), uint(2), false)
-	f.Add(uint64(42), uint(1), uint(1), true)
-	f.Add(uint64(7), uint(2), uint(3), false)
-	f.Add(uint64(1234567), uint(3), uint(1), true)
-	f.Add(uint64(99), uint(2), uint(2), true)
-	f.Fuzz(func(t *testing.T, seed uint64, kIn, nIn uint, steal bool) {
+	f.Add(uint64(1), uint(3), uint(2))
+	f.Add(uint64(42), uint(1), uint(1))
+	f.Add(uint64(7), uint(2), uint(3))
+	f.Add(uint64(1234567), uint(3), uint(1))
+	f.Add(uint64(99), uint(2), uint(2))
+	f.Fuzz(func(t *testing.T, seed uint64, kIn, nIn uint) {
 		k := 1 + int(kIn%3)
 		nfaults := 1 + int(nIn%3)
-		schedule := driver.ScheduleStatic
-		if steal {
-			schedule = driver.ScheduleSteal
-		}
 		kinds := []Kind{KindCrash, KindTornFlush, KindCorruptCheckpoint,
 			KindTruncateArtifact, KindBitFlipArtifact, KindDuplicateShard}
 		src := rng.New(seed)
@@ -453,7 +446,7 @@ func FuzzChaosSchedule(f *testing.F) {
 			}
 			sum, err := driver.Run(context.Background(), spec, driver.Options{
 				Shards: k, Workers: 2, Dir: dir, Retries: 1,
-				Schedule: schedule, Chaos: inj.Hooks(),
+				Chaos: inj.Hooks(),
 			})
 			log, lerr := inj.Log()
 			if lerr != nil {
@@ -480,7 +473,7 @@ func FuzzChaosSchedule(f *testing.F) {
 				}
 			}
 			sum, err = driver.Run(context.Background(), spec, driver.Options{
-				Shards: k, Workers: 2, Dir: dir, Resume: true, Schedule: schedule,
+				Shards: k, Workers: 2, Dir: dir, Resume: true,
 			})
 		}
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 // Capping at 2^16 preserves the behaviour the analysis relies on — in
 // phases with far more channels than nodes, nodes (almost) never meet, so
 // Nm stays far below the helper threshold (Lemma 6.2) — as long as the cap
-// is ≫ n. See DESIGN.md §4.
+// is ≫ n.
 const DefaultChannelCap = 1 << 16
 
 // StepWindow describes one step of one (i,j)-phase as a slot interval.

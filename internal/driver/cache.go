@@ -11,12 +11,12 @@ import (
 // seam for one campaign: the content address of every global cell is
 // precomputed from the template points' identities (label + workload
 // string) and the grid's per-cell seed, and each Load records whether
-// it hit so the fold paths can annotate the cell's progress event.
+// it hit so the fold stage can annotate the cell's progress event.
 //
 // The hit slice is written by the computing worker and read only after
-// the cell's result has crossed a channel into the (single) delivery
-// or fold goroutine, so the per-index handoff is ordered; distinct
-// cells never share an index.
+// the cell's result has crossed a channel into the fold goroutine, so
+// the per-index handoff is ordered; distinct cells never share an
+// index.
 type cellCache struct {
 	store *cache.Store
 	keys  []string

@@ -26,8 +26,8 @@ func countEvents(mu *sync.Mutex, counts map[EventKind]int) func(Event) {
 	}
 }
 
-// crashShardAt returns a CellHook that fails the given shard once its
-// attempt-0 run reaches done cells.
+// crashShardAt returns a per-cell callback (see cellHook) that fails
+// the given shard once its attempt-0 run reaches done cells.
 func crashShardAt(shard, done int) func(int, int, int) error {
 	return func(s, attempt, d int) error {
 		if s == shard && attempt == 0 && d == done {
@@ -48,7 +48,7 @@ func TestDriveCorruptCheckpointFailsFast(t *testing.T) {
 	// Crash shard 0 mid-run to leave a real sidecar behind, then tear it.
 	_, err := Run(context.Background(), spec, Options{
 		Shards: 2, Workers: 2, Dir: dir,
-		CellHook: crashShardAt(0, 2),
+		Chaos: cellHook(crashShardAt(0, 2)),
 	})
 	if err == nil {
 		t.Fatal("seed crash run unexpectedly succeeded")

@@ -1,27 +1,28 @@
 // Package driver turns a sharded campaign from a hand-run procedure
 // into a supervised one: given a campaign spec and a shard count k, it
-// launches k shard workers, streams per-shard progress, restarts or
-// resumes failed shards with bounded retries, and gathers and merges
-// the shard artifacts into the final summary — the summary the
-// unsharded run would have produced, bit for bit.
+// runs the campaign's grid cells on one in-process worker pool, streams
+// per-shard progress, retries failed attempts from the shard
+// checkpoints, and gathers and merges the shard artifacts into the
+// final summary — the summary the unsharded run would have produced,
+// bit for bit.
 //
-// Workers run either in-process (each shard drives runner.RunSweep
-// under its own campaign.Checkpointer, so a crashed or cancelled driver
-// resumes every shard at its next undone grid cell) or as subprocesses
-// via Options.Spawn (each child writes its shard artifact itself; a
-// failed child is restarted from scratch, since its checkpoint state is
-// its own business). Options.Schedule swaps the static per-shard pools
-// for one work-stealing pool over the whole grid (see steal.go) without
-// changing a byte of any artifact. Either way the artifact directory is the only
-// coordination medium, which is what makes a driven campaign
-// killable: re-running with Options.Resume skips shards whose
-// artifacts are complete, resumes checkpointed ones, and re-merges.
+// The pool decouples who computes a cell from where its result lands
+// (see pool.go): workers claim cells in ascending grid order, and one
+// fold stage lands each shard's cells, in order, in that shard's
+// campaign.Checkpointer. So a crashed or cancelled driver resumes every
+// shard at its next undone grid cell, and the artifact directory is the
+// only resume state, which is what makes a driven campaign killable:
+// re-running with Options.Resume skips shards whose artifacts are
+// complete, resumes checkpointed ones, and re-merges. Cross-machine
+// campaigns do not go through the driver: each machine runs its
+// `-shard i/k` slice through runner.RunSweep, and the artifacts merge
+// the same way.
 //
 // Options.Chaos is the driver's fault-injection seam: internal/chaos
-// plugs deterministic, seeded failures into the spawn/checkpoint/
-// gather path through it (see ChaosHooks). Gathering is self-healing
-// against non-foreign damage — a corrupt or misdelivered shard artifact
-// is discarded and its shard re-run — while corrupt checkpoints and
+// plugs deterministic, seeded failures into the checkpoint/fold/gather
+// path through it (see ChaosHooks). Gathering is self-healing against
+// non-foreign damage — a corrupt or misdelivered shard artifact is
+// discarded and its shard re-run — while corrupt checkpoints and
 // foreign artifacts stay hard errors, because regenerating over them
 // could silently discard another campaign's work.
 package driver
@@ -31,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -48,8 +48,7 @@ type Spec struct {
 	// collectors are ignored; shard workers start from CloneEmpty).
 	Template *campaign.Summary
 	// Points are the workload points backing Template.Points, in the
-	// same order. Required for in-process workers; ignored when Spawn
-	// launches subprocesses (the children build their own workloads).
+	// same order.
 	Points []sim.Config
 	// Trials is the trial count per point; must match Template.Trials.
 	Trials int
@@ -63,22 +62,16 @@ var ErrInjected = errors.New("injected chaos fault")
 
 // Options tune a driven campaign.
 type Options struct {
-	// Shards is k: the campaign grid is split into shards 0..k-1, one
-	// worker each. Minimum 1.
+	// Shards is k: the campaign grid is split into shards 0..k-1, and
+	// shard i's artifact holds the cells g ≡ i (mod k). Minimum 1.
 	Shards int
-	// Schedule picks how grid cells are distributed over workers:
-	// ScheduleStatic (the default, also the zero value) pins shard i to
-	// the cells g ≡ i (mod k); ScheduleSteal runs one work-stealing pool
-	// over the whole grid. Either way the shard artifacts — and the
-	// merged summary — are bit-identical. Steal requires in-process
-	// workers (Spawn must be nil).
-	Schedule Schedule
-	// Workers caps each in-process shard worker's trial pool; 0 divides
-	// GOMAXPROCS evenly across shards (minimum 1 each).
+	// Workers is the pool's size per shard: the pool runs Shards×Workers
+	// workers over the whole grid. 0 divides GOMAXPROCS evenly across
+	// shards (minimum 1 each).
 	Workers int
-	// Retries is how many times a failed shard worker is relaunched
-	// (resuming from its checkpoint) before the campaign fails. 0 means
-	// fail on the first error.
+	// Retries is how many times a failed attempt of the pool is
+	// relaunched (resuming every unfinished shard from its checkpoint)
+	// before the campaign fails. 0 means fail on the first error.
 	Retries int
 	// Dir is the campaign directory holding shard artifacts and
 	// checkpoints. Required: it is the resume state.
@@ -89,56 +82,37 @@ type Options struct {
 	// campaign files is refused.
 	Resume bool
 	// CheckpointEvery is the number of grid cells between checkpoint
-	// flushes for in-process workers; 0 or 1 checkpoints every cell.
+	// flushes; 0 or 1 checkpoints every cell.
 	CheckpointEvery int
 	// Progress, if non-nil, receives per-shard events.
 	Progress func(Event)
-	// Spawn, if non-nil, launches shard workers as subprocesses instead
-	// of in-process: it must return a command that runs shard
-	// `shard`/`shards` of the campaign and writes its artifact to
-	// `artifact` (atomically — campaign.Summary.Write does). The driver
-	// validates the artifact after the child exits.
-	Spawn func(ctx context.Context, shard, shards int, artifact string) *exec.Cmd
 	// Cache, if non-nil, is the content-addressed cell result cache:
-	// every grid cell is looked up before it is dispatched — under both
-	// schedules — and a hit flows into the fold exactly like a computed
-	// result, so artifacts, checkpoints, and the merged summary are
-	// byte-identical with or without it. Misses store their result back.
-	// Requires in-process workers (Spawn must be nil): subprocess
-	// children own their own execution and would bypass the seam.
+	// every grid cell is looked up before it is computed, and a hit flows
+	// into the fold exactly like a computed result, so artifacts,
+	// checkpoints, and the merged summary are byte-identical with or
+	// without it. Misses store their result back.
 	Cache *cache.Store
-	// CellHook is a test seam: called after each checkpointed cell of an
-	// in-process shard; an error fails the shard attempt as if the
-	// worker had crashed there.
-	CellHook func(shard, attempt, done int) error
 	// Chaos, if non-nil, injects deterministic faults into the campaign
-	// fabric (see ChaosHooks and internal/chaos). Implies KeepGoing so
-	// every scheduled fault point is reached regardless of sibling
-	// failures.
+	// fabric (see ChaosHooks and internal/chaos).
 	Chaos *ChaosHooks
-	// KeepGoing keeps healthy shards running after another shard fails,
-	// instead of cancelling the fleet on the first error. The failing
-	// shard with the lowest index names the run's error.
-	KeepGoing bool
 }
 
 // ChaosHooks is the driver's fault-injection seam. Every field is
 // optional; nil hooks are skipped. internal/chaos provides the standard
 // implementation — a seeded, deterministic schedule — but the driver
-// only depends on this shape, so tests can hand-roll hooks too. The
-// per-cell and per-flush hooks apply to in-process workers; Begin and
-// Gather also cover subprocess runs.
+// only depends on this shape, so tests can hand-roll hooks too.
 type ChaosHooks struct {
 	// Begin is called once per Run before workers launch, with the
 	// shard count — the point where seeded wildcard targets resolve.
 	Begin func(shards int)
-	// Arm is called as a shard worker attempt starts, after checkpoint
+	// Arm is called as a shard's attempt starts, after checkpoint
 	// resume: done cells are already covered, cells is the shard's
 	// local slice size.
 	Arm func(shard, attempt, done, cells int)
-	// Cell is called after each checkpointed cell; returning an error
-	// crashes the worker there, and blocking on ctx simulates a stalled
-	// worker.
+	// Cell is called on the fold stage after each checkpointed cell,
+	// with done the shard's folded cell count; returning an error fails
+	// the shard there, as if its worker had crashed, and blocking on ctx
+	// simulates a stalled worker.
 	Cell func(ctx context.Context, shard, attempt, done int) error
 	// CheckpointFault may replace a checkpoint flush with a storage
 	// fault (the payload bytes are what Flush would have written).
@@ -177,7 +151,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*campaign.Summary, error
 	if spec.Trials != spec.Template.Trials {
 		return nil, fmt.Errorf("driver: spec trials %d != template trials %d", spec.Trials, spec.Template.Trials)
 	}
-	if opts.Spawn == nil && len(spec.Points) != len(spec.Template.Points) {
+	if len(spec.Points) != len(spec.Template.Points) {
 		return nil, fmt.Errorf("driver: %d workload points for %d template points",
 			len(spec.Points), len(spec.Template.Points))
 	}
@@ -187,19 +161,12 @@ func Run(ctx context.Context, spec Spec, opts Options) (*campaign.Summary, error
 	if opts.Retries < 0 {
 		return nil, fmt.Errorf("driver: retries = %d must not be negative", opts.Retries)
 	}
-	sched, err := ParseSchedule(string(opts.Schedule))
-	if err != nil {
-		return nil, err
-	}
-	opts.Schedule = sched
-	if sched == ScheduleSteal && opts.Spawn != nil {
-		return nil, fmt.Errorf("driver: schedule %q needs in-process workers, not Spawn subprocesses", ScheduleSteal)
-	}
-	if opts.Cache != nil && opts.Spawn != nil {
-		return nil, fmt.Errorf("driver: the result cache needs in-process workers, not Spawn subprocesses")
-	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("driver: campaign directory required (it is the resume state)")
+	}
+	grid, err := runner.NewGrid(spec.Points, spec.Trials)
+	if err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
@@ -215,65 +182,43 @@ func Run(ctx context.Context, spec Spec, opts Options) (*campaign.Summary, error
 		}
 	}
 
-	d := &drive{spec: spec, opts: opts, total: len(spec.Template.Points) * spec.Trials}
-	if d.opts.Workers == 0 && d.opts.Spawn == nil {
+	d := &drive{spec: spec, opts: opts, grid: grid}
+	if d.opts.Workers == 0 {
 		d.opts.Workers = max(1, runtime.GOMAXPROCS(0)/opts.Shards)
 	}
 	if opts.Cache != nil {
-		grid, err := runner.NewGrid(spec.Points, spec.Trials)
-		if err != nil {
-			return nil, err
-		}
 		d.cache = newCellCache(opts.Cache, spec.Template, grid)
+		d.grid.Cache = d.cache // guarded: a typed-nil adapter must not enable the seam
 	}
-	// Under chaos, sibling cancellation would make which fault points
-	// are reached depend on goroutine timing; keep the fleet going so a
-	// seeded schedule always plays out the same way.
-	keepGoing := opts.KeepGoing || opts.Chaos != nil
 	if c := d.opts.Chaos; c != nil && c.Begin != nil {
 		c.Begin(opts.Shards)
 	}
 
-	if d.opts.Schedule == ScheduleSteal {
-		if err := d.driveSteal(ctx); err != nil {
-			return nil, err
+	// The pool is one retry unit: a failed attempt relaunches everything
+	// unfinished, resuming every shard from its checkpoint, with
+	// EventRetry announced per unfinished shard.
+	finished := make([]bool, opts.Shards)
+	for attempt := 0; ; attempt++ {
+		shard, err := d.runAttempt(ctx, attempt, finished)
+		if err == nil {
+			break
 		}
-	} else {
-		var wg sync.WaitGroup
-		runCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		errs := make([]error, opts.Shards)
-		for i := 0; i < opts.Shards; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := d.runShard(runCtx, i); err != nil {
-					errs[i] = err
-					if !keepGoing {
-						cancel() // first failure stops the fleet; checkpoints survive
-					}
-				}
-			}()
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		wg.Wait()
-		// The lowest-index failing shard's error (deterministic), not a
-		// sibling's cancellation echo.
-		var firstErr error
-		for _, err := range errs {
-			if err != nil && !errors.Is(err, context.Canceled) {
-				firstErr = err
-				break
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
+		var term terminalError
+		if errors.As(err, &term) {
+			return nil, term.err
+		}
+		if attempt >= opts.Retries {
+			return nil, fmt.Errorf("driver: shard %d/%d failed after %d attempt(s): %w",
+				shard, opts.Shards, attempt+1, err)
+		}
+		for s, ok := range finished {
+			if !ok {
+				d.emit(Event{Shard: s, Kind: EventRetry, Total: d.localCells(s), Attempt: attempt, Err: err})
 			}
 		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 
 	if c := d.opts.Chaos; c != nil && c.Gather != nil {
@@ -296,7 +241,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*campaign.Summary, error
 type drive struct {
 	spec  Spec
 	opts  Options
-	total int        // global grid cells
+	grid  runner.Grid
 	cache *cellCache // nil unless Options.Cache is set
 
 	mu sync.Mutex // serializes Progress callbacks
@@ -315,14 +260,14 @@ func (d *drive) emit(ev Event) {
 }
 
 // localCells counts the grid cells of shard i — the runner's own slice
-// definition, so completeness checks cannot desync from the execution
-// loop.
+// definition, so completeness checks agree with `-shard i/k` runs about
+// which cells a shard artifact holds.
 func (d *drive) localCells(i int) int {
-	return runner.Shard{Index: i, Count: d.opts.Shards}.Cells(d.total)
+	return runner.Shard{Index: i, Count: d.opts.Shards}.Cells(d.grid.Total())
 }
 
 // terminalError marks a failure retrying cannot fix — identity and
-// validation mismatches are deterministic, so relaunching the worker
+// validation mismatches are deterministic, so relaunching the pool
 // would just replay them Retries times with misleading progress lines.
 type terminalError struct{ err error }
 
@@ -334,49 +279,6 @@ func (d *drive) shardTemplate(i int) *campaign.Summary {
 	s := d.spec.Template.CloneEmpty()
 	s.ShardIndex, s.ShardCount = i, d.opts.Shards
 	return s
-}
-
-// runShard supervises one shard: skip it if its artifact is already
-// complete, otherwise attempt it up to 1+Retries times, resuming
-// in-process attempts from the shard checkpoint.
-func (d *drive) runShard(ctx context.Context, i int) error {
-	local := d.localCells(i)
-	for attempt := 0; ; attempt++ {
-		if d.opts.Resume || attempt > 0 {
-			done, err := d.shardComplete(i, attempt, local)
-			if err != nil {
-				return err
-			}
-			if done {
-				d.emit(Event{Shard: i, Kind: EventShardDone, Done: local, Total: local, Attempt: attempt})
-				return nil
-			}
-		}
-		var err error
-		if d.opts.Spawn != nil {
-			err = d.runSubprocess(ctx, i, attempt, local)
-		} else {
-			err = d.runInProcess(ctx, i, attempt, local)
-		}
-		if err == nil {
-			d.emit(Event{Shard: i, Kind: EventShardDone, Done: local, Total: local, Attempt: attempt})
-			return nil
-		}
-		if ctx.Err() != nil {
-			// Cancellation (or a sibling shard's failure) is not this
-			// shard's fault; don't burn retries on it.
-			return ctx.Err()
-		}
-		var term terminalError
-		if errors.As(err, &term) {
-			return term.err
-		}
-		if attempt >= d.opts.Retries {
-			return fmt.Errorf("driver: shard %d/%d failed after %d attempt(s): %w",
-				i, d.opts.Shards, attempt+1, err)
-		}
-		d.emit(Event{Shard: i, Kind: EventRetry, Total: local, Attempt: attempt, Err: err})
-	}
 }
 
 // shardComplete reports whether shard i's artifact already covers its
@@ -422,106 +324,4 @@ func (d *drive) shardComplete(i, attempt, local int) (bool, error) {
 			path, s.Cells(), local))
 	}
 	return true, nil
-}
-
-// runInProcess executes one attempt of shard i through runner.RunSweep
-// under a checkpointer, then writes the shard artifact.
-func (d *drive) runInProcess(ctx context.Context, i, attempt, local int) error {
-	chaos := d.opts.Chaos
-	ck := campaign.NewCheckpointer(CheckpointPath(d.opts.Dir, i), d.shardTemplate(i), d.opts.CheckpointEvery)
-	if chaos != nil && chaos.CheckpointFault != nil {
-		ck.Fault = func(data []byte) *campaign.Fault {
-			return chaos.CheckpointFault(i, attempt, data)
-		}
-	}
-	if d.opts.Resume || attempt > 0 {
-		if _, err := ck.Resume(); err != nil {
-			return terminalError{err} // foreign/corrupt checkpoint: retrying replays it
-		}
-	}
-	if chaos != nil && chaos.Arm != nil {
-		chaos.Arm(i, attempt, ck.Done(), local)
-	}
-	d.emit(Event{Shard: i, Kind: EventStart, Done: ck.Done(), Total: local, Attempt: attempt})
-	plan := runner.SweepPlan{
-		Trials:  d.spec.Trials,
-		Shard:   runner.Shard{Index: i, Count: d.opts.Shards},
-		Skip:    ck.Done(),
-		Workers: d.opts.Workers,
-	}
-	if d.cache != nil {
-		plan.Cache = d.cache // guarded: a typed-nil adapter must not enable the seam
-	}
-	err := runner.RunSweep(ctx, d.spec.Points, plan, func(p, t int, m sim.Metrics) error {
-		if err := ck.Add(p, t, m); err != nil {
-			return err
-		}
-		d.emit(Event{Shard: i, Kind: EventCell, Done: ck.Done(), Total: local, Attempt: attempt,
-			Cache: d.cache.mark(p*d.spec.Trials + t)})
-		if d.opts.CellHook != nil {
-			if err := d.opts.CellHook(i, attempt, ck.Done()); err != nil {
-				return err
-			}
-		}
-		if chaos != nil && chaos.Cell != nil {
-			if err := chaos.Cell(ctx, i, attempt, ck.Done()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		// The checkpoint keeps every completed cell; flush any tail the
-		// throttle was still holding so a retry resumes as far along as
-		// possible (best effort — the stale checkpoint is also correct).
-		// An injected crash simulates the process dying on the spot, so
-		// no rescue flush happens for it either.
-		if ck.Done() > 0 && !errors.Is(err, ErrInjected) {
-			_ = ck.Flush()
-		}
-		return err
-	}
-	if got := ck.Done(); got != local {
-		return fmt.Errorf("driver: shard %d ran %d of %d cells", i, got, local)
-	}
-	var fp campaign.FaultPoint
-	if chaos != nil && chaos.ArtifactFault != nil {
-		fp = func(data []byte) *campaign.Fault {
-			return chaos.ArtifactFault(i, attempt, data)
-		}
-	}
-	if err := ck.Summary().WriteWithFault(ArtifactPath(d.opts.Dir, i), fp); err != nil {
-		return err
-	}
-	return ck.Remove()
-}
-
-// runSubprocess executes one attempt of shard i via Options.Spawn and
-// validates the artifact the child wrote.
-func (d *drive) runSubprocess(ctx context.Context, i, attempt, local int) error {
-	path := ArtifactPath(d.opts.Dir, i)
-	// A failed child restarts from scratch; drop its stale artifact so
-	// completeness checks can't read a half-campaign's leftovers.
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	d.emit(Event{Shard: i, Kind: EventStart, Done: 0, Total: local, Attempt: attempt})
-	cmd := d.opts.Spawn(ctx, i, d.opts.Shards, path)
-	if cmd == nil {
-		return fmt.Errorf("driver: spawn returned no command for shard %d", i)
-	}
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("driver: shard %d worker: %w", i, err)
-	}
-	done, err := d.shardComplete(i, attempt, local)
-	if err != nil {
-		// A foreign artifact is deterministic, not a torn write worth
-		// retrying. (Corrupt or misdelivered artifacts never reach here:
-		// shardComplete discards them and reports the shard incomplete.)
-		return terminalError{err}
-	}
-	if !done {
-		return fmt.Errorf("driver: shard %d worker exited without writing %s", i, path)
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package driver
 import (
 	"context"
 	"fmt"
-	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -46,6 +45,14 @@ func unsharded(t *testing.T, spec Spec) *campaign.Summary {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// cellHook adapts a per-cell callback to the fold-side chaos seam, the
+// point where a shard's folded cell count is known.
+func cellHook(f func(shard, attempt, done int) error) *ChaosHooks {
+	return &ChaosHooks{Cell: func(_ context.Context, shard, attempt, done int) error {
+		return f(shard, attempt, done)
+	}}
 }
 
 // assertSameSummaries requires got's per-point summaries to be
@@ -99,12 +106,12 @@ func TestDriveCrashResumeBitIdentical(t *testing.T) {
 	boom := fmt.Errorf("injected worker crash")
 	_, err := Run(context.Background(), spec, Options{
 		Shards: 3, Workers: 2, Dir: dir,
-		CellHook: func(shard, attempt, done int) error {
+		Chaos: cellHook(func(shard, attempt, done int) error {
 			if shard == 1 && done == 2 {
 				return boom
 			}
 			return nil
-		},
+		}),
 	})
 	if err == nil || !strings.Contains(err.Error(), "shard 1/3") {
 		t.Fatalf("err = %v, want shard 1/3 failure", err)
@@ -141,12 +148,12 @@ func TestDriveRetryResumesFromCheckpoint(t *testing.T) {
 	starts := map[int][]int{} // attempt → Done at start, shard 1 only
 	merged, err := Run(context.Background(), spec, Options{
 		Shards: 3, Workers: 2, Dir: t.TempDir(), Retries: 1,
-		CellHook: func(shard, attempt, done int) error {
+		Chaos: cellHook(func(shard, attempt, done int) error {
 			if shard == 1 && attempt == 0 && done == 2 {
 				return fmt.Errorf("transient crash")
 			}
 			return nil
-		},
+		}),
 		Progress: func(ev Event) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -172,7 +179,7 @@ func TestDriveBoundedRetries(t *testing.T) {
 	var mu sync.Mutex
 	_, err := Run(context.Background(), spec, Options{
 		Shards: 2, Workers: 1, Dir: t.TempDir(), Retries: 2,
-		CellHook: func(shard, attempt, done int) error {
+		Chaos: cellHook(func(shard, attempt, done int) error {
 			if shard == 0 {
 				mu.Lock()
 				attempts = max(attempts, attempt+1)
@@ -180,7 +187,7 @@ func TestDriveBoundedRetries(t *testing.T) {
 				return fmt.Errorf("permanent failure")
 			}
 			return nil
-		},
+		}),
 	})
 	if err == nil || !strings.Contains(err.Error(), "after 3 attempt(s)") {
 		t.Fatalf("err = %v, want a 3-attempt failure", err)
@@ -208,41 +215,6 @@ func TestDriveRefusesDirtyDirWithoutResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSummaries(t, merged, unsharded(t, spec))
-}
-
-// Subprocess workers: the driver gathers whatever artifacts the
-// children wrote (here: staged by an earlier in-process run) and a
-// failing child burns its bounded retries.
-func TestDriveSpawn(t *testing.T) {
-	spec := testSpec(4)
-	want := unsharded(t, spec)
-
-	// Stage shard artifacts with an in-process drive, then "launch"
-	// children that just copy them into place.
-	staging := t.TempDir()
-	if _, err := Run(context.Background(), spec, Options{Shards: 2, Workers: 1, Dir: staging}); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Run(context.Background(), spec, Options{
-		Shards: 2, Dir: t.TempDir(),
-		Spawn: func(ctx context.Context, shard, shards int, artifact string) *exec.Cmd {
-			return exec.CommandContext(ctx, "cp", ArtifactPath(staging, shard), artifact)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSummaries(t, merged, want)
-
-	_, err = Run(context.Background(), spec, Options{
-		Shards: 2, Retries: 1, Dir: t.TempDir(),
-		Spawn: func(ctx context.Context, shard, shards int, artifact string) *exec.Cmd {
-			return exec.CommandContext(ctx, "false")
-		},
-	})
-	if err == nil || !strings.Contains(err.Error(), "failed after 2 attempt(s)") {
-		t.Errorf("err = %v, want a bounded-retry subprocess failure", err)
-	}
 }
 
 // Artifacts in the campaign directory that belong to a different
@@ -275,12 +247,12 @@ func TestDriveForeignCheckpointFailsWithoutRetries(t *testing.T) {
 	// Leave a checkpoint behind by crashing shard 0 mid-run.
 	_, err := Run(context.Background(), spec, Options{
 		Shards: 2, Workers: 1, Dir: dir,
-		CellHook: func(shard, attempt, done int) error {
+		Chaos: cellHook(func(shard, attempt, done int) error {
 			if shard == 0 && done == 1 {
 				return fmt.Errorf("injected crash")
 			}
 			return nil
-		},
+		}),
 	})
 	if err == nil {
 		t.Fatal("seed crash did not fail")
@@ -314,7 +286,7 @@ func TestDriveForeignCheckpointFailsWithoutRetries(t *testing.T) {
 // shard-slice accounting: localCells must partition the grid exactly.
 func TestLocalCellsPartition(t *testing.T) {
 	for _, tc := range []struct{ total, k int }{{12, 3}, {13, 3}, {2, 5}, {0, 2}, {7, 1}} {
-		d := &drive{opts: Options{Shards: tc.k}, total: tc.total}
+		d := &drive{opts: Options{Shards: tc.k}, grid: runner.Grid{Points: make([]sim.Config, 1), Trials: tc.total}}
 		sum := 0
 		for i := 0; i < tc.k; i++ {
 			sum += d.localCells(i)

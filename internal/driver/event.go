@@ -1,21 +1,19 @@
 package driver
 
-import "fmt"
-
 // EventKind classifies a progress event.
 type EventKind string
 
 const (
-	// EventStart: a shard worker attempt begins (Done cells already
+	// EventStart: a shard's attempt begins (Done cells already
 	// checkpointed when resuming).
 	EventStart EventKind = "start"
-	// EventCell: a shard worker completed (and checkpointed) one grid
-	// cell.
+	// EventCell: a shard folded (and checkpointed) one more grid cell.
 	EventCell EventKind = "cell"
 	// EventShardDone: a shard's artifact is complete on disk.
 	EventShardDone EventKind = "shard-done"
-	// EventRetry: a shard attempt failed and will be retried (resuming
-	// from its checkpoint when one exists).
+	// EventRetry: an attempt of the pool failed with this shard
+	// unfinished, and will be retried (resuming from the shard's
+	// checkpoint when one exists).
 	EventRetry EventKind = "retry"
 	// EventDiscard: a shard artifact on disk was corrupt or misdelivered
 	// (wrong shard slot, same campaign) and has been deleted; the shard
@@ -39,7 +37,7 @@ type Event struct {
 	// Done and Total count this shard's grid cells (local, not global).
 	Done  int `json:"done"`
 	Total int `json:"total"`
-	// Attempt numbers the worker attempt, starting at 0.
+	// Attempt numbers the pool's attempt, starting at 0.
 	Attempt int `json:"attempt"`
 	// Err carries the failure on EventRetry and EventDiscard. In-process
 	// only: JSON consumers read ErrText instead.
@@ -60,35 +58,3 @@ const (
 	// CacheMiss marks a cell that was simulated.
 	CacheMiss = "miss"
 )
-
-// Schedule picks how a driven campaign's grid cells are distributed
-// over its workers.
-type Schedule string
-
-const (
-	// ScheduleStatic is the default layout: shard i owns the cells
-	// g ≡ i (mod k) and runs them on its own worker pool, independent of
-	// every other shard.
-	ScheduleStatic Schedule = "static"
-	// ScheduleSteal runs one work-stealing pool of Shards×Workers
-	// workers over the whole grid: workers claim contiguous cell ranges
-	// and re-split the largest remaining range when one goes idle, so
-	// heterogeneous workers finish together instead of idling behind the
-	// slowest shard. The artifact layout is unchanged — a fold stage
-	// replays each shard's cells in ascending grid order, so stealing
-	// changes who computes a cell, never where it lands. Requires
-	// in-process workers (no Options.Spawn).
-	ScheduleSteal Schedule = "steal"
-)
-
-// ParseSchedule resolves a schedule name; the empty string is
-// ScheduleStatic, anything else unknown is an error.
-func ParseSchedule(s string) (Schedule, error) {
-	switch Schedule(s) {
-	case "", ScheduleStatic:
-		return ScheduleStatic, nil
-	case ScheduleSteal:
-		return ScheduleSteal, nil
-	}
-	return "", fmt.Errorf("driver: unknown schedule %q (want %q or %q)", s, ScheduleStatic, ScheduleSteal)
-}

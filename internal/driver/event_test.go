@@ -64,12 +64,12 @@ func TestProgressGolden(t *testing.T) {
 				t.Error(err)
 			}
 		},
-		CellHook: func(shard, attempt, done int) error {
+		Chaos: cellHook(func(shard, attempt, done int) error {
 			if attempt == 0 && done == 2 {
 				return errors.New("injected golden crash")
 			}
 			return nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,47 +168,43 @@ func checkEventInvariants(t *testing.T, events []Event, k int) {
 	}
 }
 
-// Event accounting holds under every schedule, including through an
-// in-run retry: per shard, EventCell events advance Done one at a time
-// to Total, exactly once each attempt, never interleaving out of order.
+// Event accounting holds through an in-run retry: per shard, EventCell
+// events advance Done one at a time to Total, exactly once each
+// attempt, never interleaving out of order.
 func TestEventAccountingInvariants(t *testing.T) {
 	spec := testSpec(6)
 	want := unsharded(t, spec)
-	for _, sched := range []Schedule{ScheduleStatic, ScheduleSteal} {
-		t.Run(string(sched), func(t *testing.T) {
-			var mu sync.Mutex
-			var events []Event
-			sum, err := Run(context.Background(), spec, Options{
-				Shards: 3, Workers: 2, Dir: t.TempDir(), Retries: 1, Schedule: sched,
-				Progress: func(ev Event) {
-					mu.Lock()
-					defer mu.Unlock()
-					events = append(events, ev)
-				},
-				CellHook: func(shard, attempt, done int) error {
-					if shard == 1 && attempt == 0 && done == 2 {
-						return fmt.Errorf("transient crash")
-					}
-					return nil
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
+	var mu sync.Mutex
+	var events []Event
+	sum, err := Run(context.Background(), spec, Options{
+		Shards: 3, Workers: 2, Dir: t.TempDir(), Retries: 1,
+		Progress: func(ev Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			events = append(events, ev)
+		},
+		Chaos: cellHook(func(shard, attempt, done int) error {
+			if shard == 1 && attempt == 0 && done == 2 {
+				return fmt.Errorf("transient crash")
 			}
-			checkEventInvariants(t, events, 3)
-			retried := false
-			for _, ev := range events {
-				if ev.Kind == EventRetry && ev.Shard == 1 {
-					retried = true
-					if ev.ErrText == "" {
-						t.Error("retry event carries no ErrText")
-					}
-				}
-			}
-			if !retried {
-				t.Error("the transient crash produced no retry event for shard 1")
-			}
-			assertSameSummaries(t, sum, want)
-		})
+			return nil
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkEventInvariants(t, events, 3)
+	retried := false
+	for _, ev := range events {
+		if ev.Kind == EventRetry && ev.Shard == 1 {
+			retried = true
+			if ev.ErrText == "" {
+				t.Error("retry event carries no ErrText")
+			}
+		}
+	}
+	if !retried {
+		t.Error("the transient crash produced no retry event for shard 1")
+	}
+	assertSameSummaries(t, sum, want)
 }

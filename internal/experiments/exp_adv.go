@@ -59,7 +59,7 @@ func runE5(cfg RunConfig) (Result, error) {
 		ID:      "E5",
 		Title:   "MultiCastAdv under phase-targeted jamming",
 		Claim:   "Theorem 6.10 (α = " + fmt.Sprintf("%.2f", params.Alpha) + ")",
-		Columns: []string{"T", "slots (mean)", "max node cost", "Eve spent", "helpers@", "violations"},
+		Columns: []string{"T", "slots (mean)", "max node cost", "Eve spent", "informed@", "violations"},
 	}
 	var xs, ySlots, yCost []float64
 	for bi, budget := range budgets {

@@ -1,5 +1,5 @@
-// Package experiments defines the reproduction experiments E1–E14 (see
-// DESIGN.md §3). The paper is a theory paper with no empirical tables, so
+// Package experiments defines the reproduction experiments E1–E14. The
+// paper is a theory paper with no empirical tables, so
 // each experiment operationalises one theorem, lemma, or in-text claim as
 // a measurable workload: a parameter sweep, the adversary the claim is
 // about, and the metric whose scaling shape the claim predicts. The
@@ -26,7 +26,8 @@ type RunConfig struct {
 	// Seed is the base seed; data points derive their own seeds from it.
 	Seed uint64
 	// Quick trims sweeps to small parameter ranges so the whole suite
-	// finishes in a couple of minutes (used by benchmarks and CI).
+	// finishes in seconds (16 s on a 2-vCPU VM; used by benchmarks and
+	// CI).
 	Quick bool
 	// Engine overrides the slot-loop implementation for every trial
 	// (zero = Auto). Dense and event produce identical metrics; the

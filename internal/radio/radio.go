@@ -11,9 +11,12 @@
 // broadcasters get no feedback about channel status. Broadcasting or
 // listening on one channel for one slot costs the node one unit of energy;
 // jamming one channel for one slot costs Eve one unit. Idling is free.
-// All energy metering in the simulator happens in this package so that the
-// resource-competitive ratios reported by the experiment harness are
-// audited in exactly one place.
+// The energy meters live in this package, so the resource-competitive
+// ratios the experiment harness reports are read from one place. The
+// slot protocol below (BeginSlot, Broadcast, Listen) charges them; the
+// event engine's lean step, which resolves channels itself, increments
+// the node meters directly (NodeEnergies) and charges Eve through
+// ChargeEve.
 package radio
 
 import (
@@ -105,10 +108,6 @@ type Network struct {
 
 	nodeEnergy []int64
 	eveEnergy  int64
-
-	// Slot-level tallies for tests and traces.
-	broadcastsThisSlot int
-	listensThisSlot    int
 }
 
 // NewNetwork returns a network with meters for n nodes and capacity for
@@ -160,23 +159,6 @@ func (nw *Network) ChargeEve(amount int64) {
 	nw.eveEnergy += amount
 }
 
-// ChargeNode adds one unit to node id's energy meter without running a
-// slot. The event engine's lean step resolves channel outcomes itself —
-// outside BeginSlot/EndSlot — but all energy metering still lands here,
-// so the competitive ratios stay audited in one place.
-func (nw *Network) ChargeNode(id int) {
-	if id < 0 || id >= len(nw.nodeEnergy) {
-		chargeNodePanic(id)
-	}
-	nw.nodeEnergy[id]++
-}
-
-// chargeNodePanic is split out so ChargeNode stays inlinable on the
-// engines' hot path.
-func chargeNodePanic(id int) {
-	panic(fmt.Sprintf("radio: node id %d out of range", id))
-}
-
 // Reset returns the network to its just-constructed state while keeping
 // its allocations, so a pooled execution (sim.Executor) can reuse one
 // network across trials. The channel-state slice keeps its full length —
@@ -207,8 +189,6 @@ func (nw *Network) Reset(n, channels int) {
 	nw.inSlot = false
 	nw.jam = nil
 	nw.eveEnergy = 0
-	nw.broadcastsThisSlot = 0
-	nw.listensThisSlot = 0
 }
 
 // grow ensures capacity for at least channels channels.
@@ -248,8 +228,6 @@ func (nw *Network) BeginSlot(slot int64, channels int, jam *bitset.Set, jamCount
 	nw.inSlot = true
 	nw.jam = jam
 	nw.eveEnergy += int64(jamCount)
-	nw.broadcastsThisSlot = 0
-	nw.listensThisSlot = 0
 }
 
 // EndSlot finishes the slot in progress.
@@ -277,7 +255,6 @@ func (nw *Network) Broadcast(id, ch int, payload Payload) {
 		st.count++
 	}
 	nw.nodeEnergy[id]++
-	nw.broadcastsThisSlot++
 }
 
 // Listen observes channel ch on behalf of node id and returns the feedback
@@ -286,7 +263,6 @@ func (nw *Network) Broadcast(id, ch int, payload Payload) {
 func (nw *Network) Listen(id, ch int) Feedback {
 	nw.checkAccess(id, ch)
 	nw.nodeEnergy[id]++
-	nw.listensThisSlot++
 	if nw.jam != nil && ch < nw.jam.Len() && nw.jam.Test(ch) {
 		return Feedback{Status: Noise}
 	}
@@ -310,10 +286,4 @@ func (nw *Network) checkAccess(id, ch int) {
 	if ch < 0 || ch >= nw.channels {
 		panic(fmt.Sprintf("radio: channel %d out of range [0,%d)", ch, nw.channels))
 	}
-}
-
-// SlotActivity reports the number of broadcasts and listens registered in
-// the current slot. Test/trace helper.
-func (nw *Network) SlotActivity() (broadcasts, listens int) {
-	return nw.broadcastsThisSlot, nw.listensThisSlot
 }

@@ -9,11 +9,11 @@ import (
 
 // Grid is the flattened (point × trial) index space of a sweep — the
 // cell-granular execution entry point under RunSweep and the campaign
-// driver's schedulers. Cell g = p·Trials + t runs point p's workload
-// with seed points[p].Seed + t, the same determinism contract RunSweep
-// states; Grid just exposes it one cell at a time, so a scheduler that
-// hands out arbitrary cell ranges (e.g. internal/driver's work-stealing
-// pool) computes exactly the executions the static mod-k layout would.
+// driver's pool. Cell g = p·Trials + t runs point p's workload with
+// seed points[p].Seed + t, the same determinism contract RunSweep
+// states; Grid just exposes it one cell at a time, so a pool that hands
+// cells to whichever worker is free (internal/driver) computes exactly
+// the executions a `-shard i/k` run of RunSweep would.
 type Grid struct {
 	// Points are the workload points, in sweep order.
 	Points []sim.Config

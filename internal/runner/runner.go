@@ -79,12 +79,6 @@ type Plan struct {
 	// Shard selects this machine's slice: trials t ≡ Shard.Index
 	// (mod Shard.Count). The zero value runs everything.
 	Shard Shard
-	// Skip omits the first Skip trials of this shard's slice — trials a
-	// resumed worker already completed and checkpointed (see
-	// internal/campaign). Delivery continues, still in ascending order,
-	// with the shard's (Skip+1)-th trial; skipping the whole slice runs
-	// nothing and succeeds.
-	Skip int
 	// Workers caps the worker pool; 0 means GOMAXPROCS.
 	Workers int
 }
@@ -109,7 +103,7 @@ func Run(ctx context.Context, cfg sim.Config, plan Plan, sink Sink) error {
 	if plan.Trials <= 0 {
 		return fmt.Errorf("runner: trials = %d must be positive", plan.Trials)
 	}
-	return runGrid(ctx, plan.Trials, plan.Shard, plan.Skip, plan.Workers,
+	return runGrid(ctx, plan.Trials, plan.Shard, plan.Workers,
 		func(done <-chan struct{}, exec *sim.Executor, t int) result {
 			c := cfg
 			c.Interrupt = done
@@ -132,32 +126,27 @@ func Run(ctx context.Context, cfg sim.Config, plan Plan, sink Sink) error {
 
 // runGrid is the shared execution core of Run and RunSweep: it walks the
 // global index space [0, total), restricted to this shard's slice
-// (idx ≡ shard.Index mod shard.Count) minus its first skip cells, fans
-// indices out over a worker pool, and hands each result to deliver in
-// ascending index order. exec receives the cancellation channel to wire
-// into sim.Config.Interrupt and a worker-local sim.Executor — each pool
-// worker recycles one execution context across all the cells it runs, so
-// a long campaign's steady-state trials reuse the engine's buffers
-// instead of reallocating them (results are bit-identical either way).
+// (idx ≡ shard.Index mod shard.Count), fans indices out over a worker
+// pool, and hands each result to deliver in ascending index order. exec
+// receives the cancellation channel to wire into sim.Config.Interrupt
+// and a worker-local sim.Executor — each pool worker recycles one
+// execution context across all the cells it runs, so a long campaign's
+// steady-state trials reuse the engine's buffers instead of
+// reallocating them (results are bit-identical either way).
 // deliver owns error translation and the sink call, and its first error
 // (in index order) cancels all outstanding work.
-func runGrid(ctx context.Context, total int, reqShard Shard, skip, reqWorkers int,
+func runGrid(ctx context.Context, total int, reqShard Shard, reqWorkers int,
 	exec func(done <-chan struct{}, ex *sim.Executor, idx int) result,
 	deliver func(idx int, r result) error) error {
 	shard, err := reqShard.normalize()
 	if err != nil {
 		return err
 	}
-	if skip < 0 {
-		return fmt.Errorf("runner: skip = %d must not be negative", skip)
-	}
-	// This shard's grid cells, minus those a resumed worker already
-	// completed.
-	local := shard.Cells(total) - skip
-	if local <= 0 {
+	local := shard.Cells(total)
+	if local == 0 {
 		return ctx.Err()
 	}
-	start := shard.Index + skip*shard.Count
+	start := shard.Index
 	workers := reqWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -18,19 +18,8 @@ type SweepPlan struct {
 	// indices g ≡ Shard.Index (mod Shard.Count), where g = p·Trials + t.
 	// The zero value runs the whole sweep.
 	Shard Shard
-	// Skip omits the first Skip cells of this shard's slice — cells a
-	// resumed worker already completed and checkpointed (see
-	// internal/campaign). Delivery continues, still in ascending
-	// global-index order, with the shard's (Skip+1)-th cell; skipping the
-	// whole slice runs nothing and succeeds.
-	Skip int
 	// Workers caps the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Cache, when non-nil, is the grid's cell result cache (see
-	// Grid.Cache): hits skip the simulation, misses store their result
-	// back, and delivery order, seeds, and sink semantics are untouched
-	// either way.
-	Cache CellCache
 }
 
 // SweepSink consumes one grid cell's metrics. It is called from a single
@@ -60,8 +49,7 @@ func RunSweep(ctx context.Context, points []sim.Config, plan SweepPlan, sink Swe
 	if err != nil {
 		return err
 	}
-	grid.Cache = plan.Cache
-	return runGrid(ctx, grid.Total(), plan.Shard, plan.Skip, plan.Workers,
+	return runGrid(ctx, grid.Total(), plan.Shard, plan.Workers,
 		func(done <-chan struct{}, exec *sim.Executor, g int) result {
 			m, err := grid.run(done, exec, g)
 			return result{m: m, err: err}

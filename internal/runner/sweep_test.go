@@ -147,90 +147,6 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
-// Skip is the checkpoint-resume hook: a sweep resumed with Skip=d must
-// deliver exactly the shard's cells after its first d, in the same order
-// and bit-identical to the uninterrupted run — and skipping the whole
-// slice must run nothing and succeed.
-func TestSweepSkipResumesAtNextUndoneCell(t *testing.T) {
-	points := sweepPoints()
-	const trials, k = 5, 2
-	for i := 0; i < k; i++ {
-		sh := Shard{Index: i, Count: k}
-		type cell struct {
-			p, t int
-			m    sim.Metrics
-		}
-		var whole []cell
-		err := RunSweep(context.Background(), points, SweepPlan{Trials: trials, Shard: sh, Workers: 2},
-			func(p, tr int, m sim.Metrics) error { whole = append(whole, cell{p, tr, m}); return nil })
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		for _, skip := range []int{0, 1, 3, len(whole), len(whole) + 7} {
-			var got []cell
-			err := RunSweep(context.Background(), points,
-				SweepPlan{Trials: trials, Shard: sh, Skip: skip, Workers: 2},
-				func(p, tr int, m sim.Metrics) error { got = append(got, cell{p, tr, m}); return nil })
-			if err != nil {
-				t.Fatalf("shard %d skip %d: %v", i, skip, err)
-			}
-			want := whole[min(skip, len(whole)):]
-			if len(got) != len(want) {
-				t.Fatalf("shard %d skip %d: %d cells, want %d", i, skip, len(got), len(want))
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Errorf("shard %d skip %d cell %d: %+v != %+v", i, skip, j, got[j], want[j])
-				}
-			}
-		}
-	}
-	nop := func(int, int, sim.Metrics) error { return nil }
-	if err := RunSweep(context.Background(), points, SweepPlan{Trials: 2, Skip: -1}, nop); err == nil {
-		t.Error("accepted a negative skip")
-	}
-}
-
-// Plan.Skip must give the single-config runner the same resume
-// semantics as SweepPlan.Skip: the shard's trial stream minus its first
-// d trials, bit-identical and in order.
-func TestRunSkipResumesAtNextUndoneTrial(t *testing.T) {
-	cfg := baseCfg()
-	const trials = 9
-	sh := Shard{Index: 1, Count: 2}
-	type cell struct {
-		t int
-		m sim.Metrics
-	}
-	var whole []cell
-	err := Run(context.Background(), cfg, Plan{Trials: trials, Shard: sh, Workers: 2},
-		func(tr int, m sim.Metrics) error { whole = append(whole, cell{tr, m}); return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, skip := range []int{0, 2, len(whole), len(whole) + 3} {
-		var got []cell
-		err := Run(context.Background(), cfg, Plan{Trials: trials, Shard: sh, Skip: skip, Workers: 2},
-			func(tr int, m sim.Metrics) error { got = append(got, cell{tr, m}); return nil })
-		if err != nil {
-			t.Fatalf("skip %d: %v", skip, err)
-		}
-		want := whole[min(skip, len(whole)):]
-		if len(got) != len(want) {
-			t.Fatalf("skip %d: %d trials, want %d", skip, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Errorf("skip %d trial %d: %+v != %+v", skip, j, got[j], want[j])
-			}
-		}
-	}
-	if err := Run(context.Background(), cfg, Plan{Trials: 2, Skip: -1},
-		func(int, sim.Metrics) error { return nil }); err == nil {
-		t.Error("accepted a negative skip")
-	}
-}
-
 // A failing cell must surface its point and trial coordinates — an
 // operator debugging a 40-point sweep needs to know which workload died.
 func TestSweepErrorNamesPointAndTrial(t *testing.T) {

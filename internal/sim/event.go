@@ -615,7 +615,7 @@ func (ex *execution) stepSlotLean(slot int64, ids []int, channels int) {
 	// Node statuses come from the ex.prevStatus mirror (seeded by runEvent,
 	// maintained on every transition below) instead of per-node Status
 	// calls, and energy lands in the network's meter slice directly — the
-	// same meters ChargeNode feeds, minus the call.
+	// same meters Broadcast and Listen charge on the dense engine.
 	energy := ex.net.NodeEnergies()
 	listens := ex.listens[:0]
 	bcasts := ex.bcasts[:0]

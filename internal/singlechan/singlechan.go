@@ -6,7 +6,7 @@
 //
 // The authors' implementation is unavailable, so this package provides a
 // protocol with the same structure and the same asymptotic shape (which is
-// what the paper's comparison uses — see DESIGN.md §4):
+// what the paper's comparison uses):
 //
 //   - Execution proceeds in epochs i = i₀, i₀+1, … of geometrically growing
 //     length Lᵢ = ⌈A·4ⁱ·lg n⌉, with i₀ = ⌈lg₄ n⌉ so that L_{i₀} = Ω(n·lg n).
