@@ -78,7 +78,8 @@ func Key(label, workload string, seed uint64) string {
 // PointKey returns the key function of one point's cells:
 // PointKey(label, workload)(seed) == Key(label, workload, seed). The
 // label and workload are quoted once, when PointKey is called, not once
-// per cell.
+// per cell, and the function is safe for concurrent use, so workers can
+// derive their cells' keys as they claim them.
 func PointKey(label, workload string) func(seed uint64) string {
 	point := appendPoint(nil, label, workload)
 	return func(seed uint64) string {

@@ -24,7 +24,13 @@ func (e *entry) checksum() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return jsonenc.Digest(data), nil
+	return digest(data), nil
+}
+
+// digest is a content digest: the hex sha256 of data.
+func digest(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 // keyStrings are labels and workloads that %q renders with escapes:
@@ -351,7 +357,7 @@ func restamp(rec []byte) []byte {
 	}
 	body := append(append([]byte(nil), rec[:at]...), rec[at+jsonenc.DigestLen:len(rec)-1]...)
 	out := append([]byte(nil), rec...)
-	copy(out[at:], jsonenc.Digest(body))
+	copy(out[at:], digest(body))
 	return out
 }
 

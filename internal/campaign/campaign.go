@@ -32,7 +32,6 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -94,9 +93,10 @@ type Summary struct {
 	// Tool names the writing tool (informational).
 	Tool string `json:"tool"`
 	// Checksum is the hex sha256 of the summary's compact JSON encoding
-	// with this field empty. Write stamps it; Read recomputes and
-	// refuses a mismatch as ErrCorruptArtifact, so silent damage (a
-	// flipped bit, a surviving truncation) cannot reach a merge.
+	// with this field empty. Write stamps it; Read hashes the file's own
+	// bytes, whitespace stripped and the digits cut out, and refuses a
+	// mismatch as ErrCorruptArtifact, so silent damage (a flipped bit, a
+	// surviving truncation, a re-encoding) cannot reach a merge.
 	Checksum string `json:"checksum"`
 	// Scenario is the registry scenario name; empty for single-workload
 	// campaigns.
@@ -278,18 +278,102 @@ func (s *Summary) appendJSON(dst []byte, cached [][]byte) ([]byte, int, error) {
 	return append(dst, "]}"...), at, nil
 }
 
-// checksum returns the hex sha256 content digest of s: the compact JSON
-// encoding with the Checksum field empty. Stable under decode→encode
-// round trips (pinned by the artifact round-trip test), so Read can
-// verify what Write stamped. buf is scratch space for the encoding.
-func (s *Summary) checksum(buf []byte) (string, error) {
-	c := *s
-	c.Checksum = ""
-	data, _, err := c.appendJSON(buf, nil)
-	if err != nil {
-		return "", err
+// readJSON decodes s as appendJSON writes it, from a compact reader:
+// the fields in their order, each value in the encoder's spelling
+// (ExactString, and the collectors' own readers), so whatever it
+// accepts re-encodes to the bytes it read.
+func (s *Summary) readJSON(r *jsonenc.Reader) error {
+	r.Expect(`{"schema_version":`)
+	s.SchemaVersion = int(r.Int(strconv.IntSize))
+	r.Expect(`,"tool":`)
+	s.Tool = r.ExactString()
+	r.Expect(`,"checksum":`)
+	s.Checksum = r.ExactString()
+	if r.Accept(`,"scenario":`) {
+		if s.Scenario = r.ExactString(); s.Scenario == "" && r.Err() == nil {
+			return errors.New("empty scenario field (omitted when empty)")
+		}
 	}
-	return jsonenc.Digest(data), nil
+	r.Expect(`,"seed":`)
+	s.Seed = r.Uint()
+	r.Expect(`,"trials":`)
+	s.Trials = int(r.Int(strconv.IntSize))
+	r.Expect(`,"shard_index":`)
+	s.ShardIndex = int(r.Int(strconv.IntSize))
+	r.Expect(`,"shard_count":`)
+	s.ShardCount = int(r.Int(strconv.IntSize))
+	r.Expect(`,"points":`)
+	if !r.Accept("null") {
+		r.Expect("[")
+		s.Points = []Point{}
+		for r.Err() == nil && !r.Accept("]") {
+			if len(s.Points) > 0 {
+				r.Expect(",")
+			}
+			var p Point
+			r.Expect(`{"label":`)
+			p.Label = r.ExactString()
+			r.Expect(`,"workload":`)
+			p.Workload = r.ExactString()
+			r.Expect(`,"collector":`)
+			if !r.Accept("null") {
+				p.Collector = new(runner.Collector)
+				if err := p.Collector.ReadJSON(r); err != nil {
+					return err
+				}
+			}
+			r.Expect("}")
+			s.Points = append(s.Points, p)
+		}
+	}
+	r.Expect("}")
+	return r.Err()
+}
+
+// readVerified is the read path Read and Checkpointer.Resume share,
+// the way cache.Store.Load reads a record: it strips data's
+// insignificant whitespace, checks the content checksum on the compact
+// bytes (see verify), and only then decodes them with decode, which
+// reads the whole record. A record that is not the canonical encoding
+// up to whitespace fails the checksum or the decode. Every failure, and
+// a foreign schema version, is refused as refusal explains it, from
+// data as read.
+func readVerified(data []byte, corrupt error, decode func(*jsonenc.Reader) error) error {
+	compact, err := jsonenc.AppendCompact(nil, data)
+	if err == nil {
+		err = verify(compact)
+	}
+	if err == nil {
+		r := jsonenc.NewReader(compact)
+		if err = decode(&r); err == nil {
+			err = r.End()
+		}
+	}
+	if err != nil {
+		return refusal(data, err, corrupt)
+	}
+	return nil
+}
+
+// verify checks the content checksum of compact, the compact bytes of
+// an artifact or sidecar: its leading fields are the schema version,
+// which must be this package's, an artifact's tool name, and the
+// checksum, whose digits must be the digest of compact with them cut
+// out.
+func verify(compact []byte) error {
+	r := jsonenc.NewReader(compact)
+	r.Expect(`{"schema_version":`)
+	if v := int(r.Int(strconv.IntSize)); r.Err() == nil && v != SchemaVersion {
+		return checkVersion(v)
+	}
+	if r.Accept(`,"tool":`) {
+		r.ExactString()
+	}
+	r.Expect(`,"checksum":"`)
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return jsonenc.VerifyChecksum(compact, len(compact)-r.Len())
 }
 
 // refusal explains why a payload that did not decode (decodeErr) or
@@ -311,29 +395,21 @@ func refusal(data []byte, decodeErr, corrupt error) error {
 	return fmt.Errorf("%w: %v", corrupt, decodeErr)
 }
 
-// Read loads and validates one summary artifact. The payload is decoded
-// once; only a failed decode or a foreign schema version costs a second
-// pass (see refusal), so a future tool's intact file fails with the
-// version message. Undecodable bytes (truncated mid-JSON) and checksum
-// mismatches fail with a wrapped ErrCorruptArtifact.
+// Read loads and validates one summary artifact: it verifies the
+// checksum on the file's own bytes, whitespace stripped, then decodes
+// them by hand (see readVerified). Only a failure or a foreign schema
+// version costs a second pass (see refusal), so a future tool's intact
+// file fails with the version message. Undecodable bytes (truncated
+// mid-JSON), checksum mismatches and non-canonical encodings fail with
+// a wrapped ErrCorruptArtifact.
 func Read(path string) (*Summary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var s Summary
-	if err := json.Unmarshal(data, &s); err != nil || s.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("%s: %w", path, refusal(data, err, ErrCorruptArtifact))
-	}
-	// The decoder copied everything out of data, so its bytes are the
-	// scratch space for the verification encoding.
-	want, err := s.checksum(data[:0])
-	if err != nil {
+	if err := readVerified(data, ErrCorruptArtifact, s.readJSON); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if s.Checksum != want {
-		return nil, fmt.Errorf("%s: %w: checksum %q does not match content digest %q",
-			path, ErrCorruptArtifact, s.Checksum, want)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -352,31 +428,34 @@ func (s *Summary) Write(path string) error { return s.WriteWithFault(path, nil) 
 // their place. The chaos harness's artifact-corruption seam; production
 // callers use Write.
 func (s *Summary) WriteWithFault(path string, fp FaultPoint) error {
+	_, err := s.write(path, fp, nil, nil)
+	return err
+}
+
+// write is WriteWithFault encoding the compact bytes into buf's array,
+// with appendJSON's per-point collector cache, and returns the array
+// for reuse. The compact bytes are encoded once, with the checksum
+// spliced in, and indented into one buffer of their exact size.
+func (s *Summary) write(path string, fp FaultPoint, cached [][]byte, buf []byte) ([]byte, error) {
 	s.SchemaVersion = SchemaVersion
 	if s.Tool == "" {
 		s.Tool = Tool
 	}
 	c := *s
 	c.Checksum = ""
-	compact, at, err := c.appendJSON(nil, nil)
+	compact, at, err := c.appendJSON(buf[:0], cached)
 	if err != nil {
-		return err
+		return buf, err
 	}
 	compact = jsonenc.SpliceChecksum(compact, at)
 	s.Checksum = string(compact[at : at+jsonenc.DigestLen])
-	// Indenting the compact bytes is all json.MarshalIndent does.
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, compact, "", "  "); err != nil {
-		return err
-	}
-	buf.WriteByte('\n')
-	data := buf.Bytes()
+	data := append(jsonenc.AppendIndent(nil, compact), '\n')
 	if fp != nil {
 		if f := fp(data); f != nil {
-			return f.apply(path)
+			return compact, f.apply(path)
 		}
 	}
-	return writeAtomic(path, data)
+	return compact, writeAtomic(path, data)
 }
 
 // Fault is one injected storage failure at a campaign fault point,

@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -85,6 +87,55 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Error("round-tripped summary re-marshals differently")
+	}
+}
+
+// A base seed of 2^63 or more — Seed is a uint64 — survives both write
+// paths: Write then Read, and Flush then Resume, byte for byte.
+func TestMaxSeedRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	tmpl := New("max-seed", math.MaxUint64, 3, []Point{{Label: "a", Workload: "w seed=max"}})
+	ck := NewCheckpointer(filepath.Join(dir, "shard.ckpt"), tmpl, 1)
+	for tr := 0; tr < 2; tr++ {
+		if err := ck.Add(0, tr, sim.Metrics{Slots: int64(10 + tr), MeanNodeEnergy: 1.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed, err := os.ReadFile(filepath.Join(dir, "shard.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := NewCheckpointer(filepath.Join(dir, "shard.ckpt"), tmpl, 1)
+	if done, err := resumed.Resume(); err != nil || done != 2 || resumed.Summary().Seed != math.MaxUint64 {
+		t.Fatalf("Resume = %d, %v, seed %d; want 2 cells at seed %d", done, err, resumed.Summary().Seed, uint64(math.MaxUint64))
+	}
+	if err := resumed.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(filepath.Join(dir, "shard.ckpt")); err != nil || !bytes.Equal(again, flushed) {
+		t.Fatalf("re-flushed sidecar differs (%v):\n%s\nwant\n%s", err, again, flushed)
+	}
+
+	path := filepath.Join(dir, "artifact.json")
+	if err := resumed.WriteArtifact(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(want, []byte(`"seed": 18446744073709551615,`)) {
+		t.Fatalf("artifact does not carry the seed:\n%s", want)
+	}
+	got, err := Read(path)
+	if err != nil || got.Seed != math.MaxUint64 {
+		t.Fatalf("Read: seed %v, %v", got, err)
+	}
+	if err := got.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("re-written artifact differs (%v)", err)
 	}
 }
 

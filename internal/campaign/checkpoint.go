@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -29,13 +28,6 @@ type checkpointFile struct {
 	Checksum  string   `json:"checksum"`
 	DoneCells int      `json:"done_cells"`
 	Summary   *Summary `json:"summary"`
-	// Schedule is "steal" in sidecars the driver's former work-stealing
-	// schedule wrote; nothing writes it any more. It is still decoded and
-	// re-encoded because Resume verifies the checksum by re-encoding the
-	// decoded file: dropping the field would refuse every such sidecar
-	// as corrupt. Resume ignores its value — DoneCells alone says where a
-	// shard resumes.
-	Schedule string `json:"schedule,omitempty"`
 }
 
 // appendJSON appends f's compact JSON encoding — byte-identical to what
@@ -59,24 +51,32 @@ func (f *checkpointFile) appendJSON(dst []byte, cached [][]byte) ([]byte, int, e
 			return nil, 0, err
 		}
 	}
-	if f.Schedule != "" {
-		dst = append(dst, `,"schedule":`...)
-		dst = jsonenc.AppendString(dst, f.Schedule)
-	}
 	return append(dst, '}'), at, nil
 }
 
-// digest returns f's content checksum (hex sha256 of the compact
-// encoding with the Checksum field empty). buf is scratch space for the
-// encoding.
-func (f *checkpointFile) digest(buf []byte) (string, error) {
-	c := *f
-	c.Checksum = ""
-	data, _, err := c.appendJSON(buf, nil)
-	if err != nil {
-		return "", err
+// readJSON decodes f as appendJSON writes it (see Summary.readJSON).
+// Sidecars the driver's former work-stealing schedule wrote end in a
+// "schedule":"steal" field; it is read past, and its bytes stay covered
+// by the checksum, which Resume checks on the file's own bytes.
+func (f *checkpointFile) readJSON(r *jsonenc.Reader) error {
+	r.Expect(`{"schema_version":`)
+	f.SchemaVersion = int(r.Int(strconv.IntSize))
+	r.Expect(`,"checksum":`)
+	f.Checksum = r.ExactString()
+	r.Expect(`,"done_cells":`)
+	f.DoneCells = int(r.Int(strconv.IntSize))
+	r.Expect(`,"summary":`)
+	if !r.Accept("null") {
+		f.Summary = new(Summary)
+		if err := f.Summary.readJSON(r); err != nil {
+			return err
+		}
 	}
-	return jsonenc.Digest(data), nil
+	if r.Accept(`,"schedule":`) && r.ExactString() == "" && r.Err() == nil {
+		return errors.New("empty schedule field (omitted when empty)")
+	}
+	r.Expect("}")
+	return r.Err()
 }
 
 // Checkpointer folds a shard's grid cells into its summary and persists
@@ -98,7 +98,7 @@ type Checkpointer struct {
 	done   int
 	dirty  int // cells folded in since the last flush
 	sum    *Summary
-	buf    []byte   // the last flush's payload; reused by the next
+	buf    []byte   // the last encoding: a flush's payload, or the artifact's compact bytes; its array is reused
 	cached [][]byte // per point: its encoded collector, empty when stale
 
 	// Fault, when non-nil, sees every flush's payload bytes and may
@@ -137,18 +137,8 @@ func (c *Checkpointer) Resume() (int, error) {
 		return 0, err
 	}
 	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil || f.SchemaVersion != SchemaVersion {
-		return 0, fmt.Errorf("checkpoint %s: %w", c.path, refusal(data, err, ErrCorruptCheckpoint))
-	}
-	// The decoder copied everything out of data, so its bytes are the
-	// scratch space for the verification encoding.
-	want, err := f.digest(data[:0])
-	if err != nil {
+	if err := readVerified(data, ErrCorruptCheckpoint, f.readJSON); err != nil {
 		return 0, fmt.Errorf("checkpoint %s: %w", c.path, err)
-	}
-	if f.Checksum != want {
-		return 0, fmt.Errorf("checkpoint %s: %w: checksum %q does not match content digest %q",
-			c.path, ErrCorruptCheckpoint, f.Checksum, want)
 	}
 	if f.Summary == nil {
 		return 0, fmt.Errorf("checkpoint %s: %w: no summary payload", c.path, ErrCorruptCheckpoint)
@@ -221,14 +211,26 @@ func (c *Checkpointer) Flush() error {
 	return nil
 }
 
+// WriteArtifact writes the shard summary as its artifact, exactly as
+// Summary.WriteWithFault writes it, from the collector encodings the
+// flushes cached: only points folded into since the last flush are
+// encoded again (and cached, as a flush caches them). The compact bytes
+// are encoded in the flush payload's buffer, which the next flush
+// overwrites anyway.
+func (c *Checkpointer) WriteArtifact(path string, fp FaultPoint) error {
+	var err error
+	c.buf, err = c.sum.write(path, fp, c.cached, c.buf)
+	return err
+}
+
 // Done returns the number of grid cells folded in so far — how many of
 // the shard's cells a resumed run skips.
 func (c *Checkpointer) Done() int { return c.done }
 
-// Summary returns the shard summary under accumulation. The caller owns
-// writing it as the shard artifact once the shard's slice is complete,
-// but must fold cells in through Add only: Add is what marks a point's
-// cached encoding stale for the next flush.
+// Summary returns the shard summary under accumulation; WriteArtifact
+// writes it once the shard's slice is complete. The caller must fold
+// cells in through Add only: Add is what marks a point's cached
+// encoding stale for the next flush.
 func (c *Checkpointer) Summary() *Summary { return c.sum }
 
 // Remove deletes the checkpoint file (after the shard artifact is

@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +12,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"multicast/internal/jsonenc"
 	"multicast/internal/runner"
 	"multicast/internal/sim"
 )
@@ -209,4 +213,133 @@ func TestCheckpointResumeTornSidecarEveryByte(t *testing.T) {
 			t.Errorf("flush %d: resumed at %d cells", wantDone, done)
 		}
 	}
+}
+
+// FuzzArtifactRead feeds arbitrary bytes to Read and to Resume. Neither
+// may panic, and whatever either accepts must be the canonical encoding
+// up to whitespace: re-encoding what it decoded gives the input's bytes
+// with their whitespace stripped (a sidecar's legacy schedule key
+// aside, which a re-flush drops). The checksum stops almost every
+// mutation, so each input is also read compacted and re-stamped with
+// the digest of its own bytes: the decoders meet the mutations too. The
+// seeds are a small artifact and sidecar in both layouts and the
+// committed fixtures, compacted.
+func FuzzArtifactRead(f *testing.F) {
+	dir := f.TempDir()
+	path := filepath.Join(dir, "in")
+	small := New("fuzz", 3, 2, []Point{{Label: "<a>", Workload: "w \u2028"}})
+	sum := small.CloneEmpty()
+	ck := NewCheckpointer(path, small.CloneEmpty(), 1)
+	for tr := 0; tr < 2; tr++ {
+		if err := sum.Points[0].Collector.Add(tr, pinMetrics(tr+3)); err != nil {
+			f.Fatal(err)
+		}
+		if err := ck.Add(0, tr, pinMetrics(tr+3)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	sidecar, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := sum.Write(path); err != nil {
+		f.Fatal(err)
+	}
+	artifact, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(artifact)
+	f.Add(sidecar)
+	f.Add(jsonenc.AppendIndent(nil, sidecar))
+	templates := []*Summary{small.CloneEmpty()}
+	for _, fixture := range []string{"testdata/shard-artifact.json", "testdata/checkpoint.ckpt", "testdata/checkpoint-noschedule.ckpt"} {
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			f.Fatal(err)
+		}
+		compact, err := jsonenc.AppendCompact(nil, data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(compact)
+		var claimed checkpointFile
+		if err := json.Unmarshal(data, &claimed); err == nil && claimed.Summary != nil {
+			templates = append(templates, claimed.Summary.CloneEmpty())
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, restampRecord(data)} {
+			if in == nil {
+				continue
+			}
+			if err := os.WriteFile(path, in, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := Read(path); err == nil {
+				c := *s
+				c.Checksum = ""
+				enc, at, err := c.appendJSON(nil, nil)
+				if err != nil {
+					t.Fatalf("accepted artifact does not re-encode: %v", err)
+				}
+				requireCanonical(t, "artifact", in, jsonenc.SpliceChecksum(enc, at))
+			}
+			for _, tmpl := range templates {
+				ck := NewCheckpointer(path, tmpl, 1)
+				if _, err := ck.Resume(); err != nil {
+					continue
+				}
+				if err := ck.Flush(); err != nil {
+					t.Fatalf("resumed checkpointer does not flush: %v", err)
+				}
+				flushed, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := jsonenc.AppendCompact(nil, in)
+				if err != nil {
+					t.Fatalf("accepted sidecar does not compact: %v", err)
+				}
+				if i := bytes.LastIndex(want, []byte(`,"schedule":`)); i >= 0 {
+					// The legacy key closes the sidecar; a re-flush writes
+					// the same state without it, checksummed anew.
+					at := len(`{"schema_version":2,"checksum":"`)
+					want = jsonenc.SpliceChecksum(append(append(want[:at:at], want[at+jsonenc.DigestLen:i]...), '}'), at)
+				}
+				if !bytes.Equal(flushed, want) {
+					t.Fatalf("accepted sidecar is not canonical:\n%s\nre-flushes as\n%s", want, flushed)
+				}
+				break
+			}
+		}
+	})
+}
+
+// requireCanonical fails unless enc, a re-encoding of what a reader
+// accepted from data, is data with its whitespace stripped.
+func requireCanonical(t *testing.T, what string, data, enc []byte) {
+	t.Helper()
+	compact, err := jsonenc.AppendCompact(nil, data)
+	if err != nil || !bytes.Equal(compact, enc) {
+		t.Fatalf("accepted %s is not canonical (%v):\n%s\nre-encodes as\n%s", what, err, compact, enc)
+	}
+}
+
+// restampRecord returns data compacted, with the 64 characters after
+// its first checksum key replaced by the digest of the rest — a record
+// whose checksum holds over whatever it says — or nil if data does not
+// compact or has no room for the digits.
+func restampRecord(data []byte) []byte {
+	out, err := jsonenc.AppendCompact(nil, data)
+	key := []byte(`"checksum":"`)
+	i := bytes.Index(out, key)
+	if err != nil || i < 0 || i+len(key)+jsonenc.DigestLen >= len(out) {
+		return nil
+	}
+	at := i + len(key)
+	body := append(append([]byte(nil), out[:at]...), out[at+jsonenc.DigestLen:]...)
+	sum := sha256.Sum256(body)
+	hex.Encode(out[at:], sum[:])
+	return out
 }

@@ -323,7 +323,7 @@ func TestChaosRecoveryMatrix(t *testing.T) {
 			// the driver -timeout path — then resume finishes from its
 			// checkpoint.
 			name:    "stall-timeout",
-			timeout: 2 * time.Second,
+			timeout: 300 * time.Millisecond,
 			faults: func(s, k int) []Rule {
 				return []Rule{{Kind: KindStall, Shard: s, Cell: 1, Attempt: 0, From: -1}}
 			},

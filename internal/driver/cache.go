@@ -8,10 +8,11 @@ import (
 )
 
 // cellCache adapts a cache.Store to the runner grid's lookup/store
-// seam for one campaign: the content address of every global cell is
-// precomputed from the template points' identities (label + workload
-// string) and the grid's per-cell seed, and each Load records whether
-// it hit so the fold stage can annotate the cell's progress event.
+// seam for one campaign: the worker that loads or stores a cell
+// derives its content address, from its template point's identity
+// (label + workload string, quoted once per point) and the grid's
+// per-cell seed, and each Load records whether it hit so the fold
+// stage can annotate the cell's progress event.
 //
 // The hit slice is written by the computing worker and read only after
 // the cell's result has crossed a channel into the fold goroutine, so
@@ -19,29 +20,35 @@ import (
 // index.
 type cellCache struct {
 	store *cache.Store
-	keys  []string
+	grid  runner.Grid
+	keys  []func(seed uint64) string // per point: cache.PointKey
 	hit   []bool
 }
 
-// newCellCache derives the per-cell keys of the campaign's grid,
-// quoting each point's identity once.
+// newCellCache prepares the per-point key functions of the campaign's
+// grid.
 func newCellCache(store *cache.Store, tmpl *campaign.Summary, grid runner.Grid) *cellCache {
-	total := grid.Total()
-	c := &cellCache{store: store, keys: make([]string, total), hit: make([]bool, total)}
-	keys := make([]func(uint64) string, len(tmpl.Points))
-	for p, pt := range tmpl.Points {
-		keys[p] = cache.PointKey(pt.Label, pt.Workload)
+	c := &cellCache{
+		store: store,
+		grid:  grid,
+		keys:  make([]func(uint64) string, len(tmpl.Points)),
+		hit:   make([]bool, grid.Total()),
 	}
-	for g := 0; g < total; g++ {
-		p, _ := grid.Split(g)
-		c.keys[g] = keys[p](grid.Seed(g))
+	for p, pt := range tmpl.Points {
+		c.keys[p] = cache.PointKey(pt.Label, pt.Workload)
 	}
 	return c
 }
 
+// key derives cell idx's content address.
+func (c *cellCache) key(idx int) string {
+	p, _ := c.grid.Split(idx)
+	return c.keys[p](c.grid.Seed(idx))
+}
+
 // Load implements runner.CellCache.
 func (c *cellCache) Load(idx int) (sim.Metrics, bool) {
-	m, ok := c.store.Load(c.keys[idx])
+	m, ok := c.store.Load(c.key(idx))
 	c.hit[idx] = ok
 	return m, ok
 }
@@ -50,7 +57,7 @@ func (c *cellCache) Load(idx int) (sim.Metrics, bool) {
 // dropped: the cache is best-effort and the computed result is already
 // on its way to the fold.
 func (c *cellCache) Store(idx int, m sim.Metrics) {
-	_ = c.store.Put(c.keys[idx], m)
+	_ = c.store.Put(c.key(idx), m)
 }
 
 // mark renders cell idx's Event.Cache annotation; a nil adapter (no

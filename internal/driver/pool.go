@@ -42,7 +42,7 @@ func (d *drive) finishShard(s, attempt int, ck *campaign.Checkpointer, finished 
 			return chaos.ArtifactFault(s, attempt, data)
 		}
 	}
-	if err := ck.Summary().WriteWithFault(ArtifactPath(d.opts.Dir, s), fp); err != nil {
+	if err := ck.WriteArtifact(ArtifactPath(d.opts.Dir, s), fp); err != nil {
 		return err
 	}
 	if err := ck.Remove(); err != nil {

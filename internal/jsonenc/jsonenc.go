@@ -1,23 +1,26 @@
-// Package jsonenc holds the scalar formatting and checksum splicing
-// shared by the hand-written encoders of the campaign records
+// Package jsonenc holds the scalar formatting, checksum splicing and
+// layout shared by the hand-written encoders of the campaign records
 // (stats.Accumulator, runner.Collector, the campaign summary and
 // checkpoint sidecar, cache entries), and Reader, the token reader
-// their hand-written decoders share (accumulators, collectors, cache
-// entries).
+// their hand-written decoders share (accumulators, collectors, the
+// summary and sidecar, cache entries).
 //
-// Every encoding function here reproduces encoding/json.Marshal byte
-// for byte: artifacts, sidecars and cache entries are checksummed over
-// exactly these bytes, so one differing byte would make every file
-// already on disk fail its checksum. The encoders append to a
-// caller-owned buffer, and neither they nor Reader use reflection.
+// Every encoding function here reproduces encoding/json byte for byte
+// (AppendIndent reproduces its Indent): artifacts, sidecars and cache
+// entries are checksummed over exactly these bytes, so one differing
+// byte would make every file already on disk fail its checksum. The
+// encoders append to a caller-owned buffer, and neither they nor Reader
+// use reflection.
 package jsonenc
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -28,7 +31,17 @@ import (
 // with a single-digit negative exponent left unpadded (1e-7, not
 // 1e-07). NaN and ±Inf have no JSON form; like encoding/json it refuses
 // them with a *json.UnsupportedValueError.
+//
+// An integer below 2^53 in magnitude is its own shortest
+// representation, so it is written as strconv.AppendInt writes it,
+// without the shortest-digit search; -0 keeps the general path, which
+// writes its sign.
 func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if -1<<53 < f && f < 1<<53 {
+		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
+			return strconv.AppendInt(dst, i, 10), nil
+		}
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
@@ -104,23 +117,198 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// indentStep is the indent of one nesting level in an artifact: the
+// indent argument artifacts were laid out with by encoding/json's
+// Indent.
+const indentStep = "  "
+
+// newline is a newline followed by the indent of the deepest level
+// putNewline writes in one copy.
+const newline = "\n                                                                "
+
+// punct marks the bytes the layout walks act on: JSON's structural
+// punctuation and the quote that opens a string. Every other byte
+// outside a string is copied as is.
+var punct = [256]bool{'"': true, '{': true, '[': true, ',': true, ':': true, '}': true, ']': true}
+
+// AppendIndent appends compact, a compact JSON value as the encoders
+// write it, laid out exactly as encoding/json's Indent lays it out with
+// prefix "" and indent "  ": each element of a non-empty object or
+// array, and its closing bracket, on a new line indented two spaces per
+// level, and a space after each colon; {} and [] stay as they are.
+// compact must be valid JSON with no whitespace outside its strings,
+// and is not checked. dst grows once, to the exact size of the result.
+func AppendIndent(dst, compact []byte) []byte {
+	n := indentedLen(compact)
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	w, depth := 0, 0
+	for i := 0; i < len(compact); i++ {
+		c := compact[i]
+		if !punct[c] {
+			out[w] = c
+			w++
+			continue
+		}
+		switch c {
+		case '"':
+			j := stringEnd(compact, i)
+			w += copy(out[w:], compact[i:j])
+			i = j - 1
+		case '{', '[':
+			out[w] = c
+			w++
+			if i+1 < len(compact) && (compact[i+1] == '}' || compact[i+1] == ']') {
+				out[w] = compact[i+1] // empty: kept as is
+				w++
+				i++
+				continue
+			}
+			depth++
+			w += putNewline(out[w:], depth)
+		case ',':
+			out[w] = c
+			w++
+			w += putNewline(out[w:], depth)
+		case ':':
+			out[w], out[w+1] = c, ' '
+			w += 2
+		default: // '}', ']'
+			depth = max(depth-1, 0)
+			w += putNewline(out[w:], depth)
+			out[w] = c
+			w++
+		}
+	}
+	return dst[:len(dst)+w]
+}
+
+// indentedLen is the length AppendIndent gives compact: the same walk,
+// counting.
+func indentedLen(compact []byte) int {
+	n, depth := len(compact), 0
+	for i := 0; i < len(compact); i++ {
+		c := compact[i]
+		if !punct[c] {
+			continue
+		}
+		switch c {
+		case '"':
+			i = stringEnd(compact, i) - 1
+		case '{', '[':
+			if i+1 < len(compact) && (compact[i+1] == '}' || compact[i+1] == ']') {
+				i++
+				continue
+			}
+			depth++
+			n += 1 + depth*len(indentStep)
+		case ',':
+			n += 1 + depth*len(indentStep)
+		case ':':
+			n++
+		default: // '}', ']'
+			depth = max(depth-1, 0)
+			n += 1 + depth*len(indentStep)
+		}
+	}
+	return n
+}
+
+// putNewline writes a newline and the indent of depth levels at the
+// start of out and returns how many bytes it wrote.
+func putNewline(out []byte, depth int) int {
+	n := 1 + depth*len(indentStep)
+	if n <= len(newline) {
+		return copy(out[:n], newline)
+	}
+	out[0] = '\n'
+	for i := 1; i < n; i++ {
+		out[i] = ' '
+	}
+	return n
+}
+
+// stringEnd returns the offset just past the JSON string that opens at
+// data[i], or len(data) if it is not closed.
+func stringEnd(data []byte, i int) int {
+	for i++; i < len(data); i++ {
+		switch data[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return len(data)
+}
+
+// space marks JSON's whitespace bytes.
+var space = [256]bool{' ': true, '\n': true, '\t': true, '\r': true}
+
+// AppendCompact appends src with the JSON whitespace outside its
+// strings removed, undoing AppendIndent or any other layout: the
+// compact bytes a record's checksum covers. Whitespace between two
+// bytes that are neither punctuation nor a quote would join two tokens
+// into one (1 2, tr ue), so it is an error; nothing else is checked.
+// dst grows once, by len(src).
+func AppendCompact(dst, src []byte) ([]byte, error) {
+	dst = slices.Grow(dst, len(src))
+	out := dst[len(dst) : len(dst)+len(src)]
+	w := 0
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		switch {
+		case space[c]:
+			j := i + 1
+			for j < len(src) && space[src[j]] {
+				j++
+			}
+			if w > 0 && j < len(src) && !punct[out[w-1]] && !punct[src[j]] {
+				return dst, fmt.Errorf("jsonenc: whitespace inside a token at offset %d", i)
+			}
+			i = j - 1
+		case c == '"':
+			j := stringEnd(src, i)
+			w += copy(out[w:], src[i:j])
+			i = j - 1
+		default:
+			out[w] = c
+			w++
+		}
+	}
+	return dst[:len(dst)+w], nil
+}
+
 // DigestLen is the length of a content digest: hex-encoded sha256.
 const DigestLen = 2 * sha256.Size
 
-// Digest returns the content digest of data: its sha256, hex-encoded.
-// Artifact and sidecar readers verify a decoded record by re-encoding it
-// with an empty checksum and comparing Digest of those bytes with the
-// stored value; the cache hashes a record's own bytes with the digits
-// cut out.
-func Digest(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+// VerifyChecksum checks a checksummed record on its own bytes, the
+// reader's half of SpliceChecksum: data is the record's compact
+// encoding with DigestLen checksum digits at offset at, closing the
+// checksum string, and they must be the digest of data with them cut
+// out — the bytes SpliceChecksum hashed. Nothing is decoded or
+// re-encoded.
+func VerifyChecksum(data []byte, at int) error {
+	end := at + DigestLen
+	if at < 0 || end >= len(data) || data[end] != '"' {
+		return fmt.Errorf("jsonenc: want %d checksum digits at offset %d", DigestLen, at)
+	}
+	h := sha256.New()
+	h.Write(data[:at])
+	h.Write(data[end:])
+	var sum [sha256.Size]byte
+	var digest [DigestLen]byte
+	hex.Encode(digest[:], h.Sum(sum[:0]))
+	if string(digest[:]) != string(data[at:end]) {
+		return fmt.Errorf("checksum %q does not match content digest %q", data[at:end], digest[:])
+	}
+	return nil
 }
 
 // SpliceChecksum completes a checksummed record in one encoding pass.
 // data is the record's compact encoding with an empty checksum string
-// whose (empty) contents sit at offset at; SpliceChecksum inserts
-// Digest(data) there, reusing data's array when it has room. The
+// whose (empty) contents sit at offset at; SpliceChecksum inserts the
+// hex sha256 of data there, reusing data's array when it has room. The
 // digest occupies data[at : at+DigestLen] of the result.
 func SpliceChecksum(data []byte, at int) []byte {
 	sum := sha256.Sum256(data)

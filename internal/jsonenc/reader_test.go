@@ -82,10 +82,10 @@ func testRecords() []record {
 	}
 }
 
-// The reader accepts the compact encoding and, on an indented reader,
-// every whitespace form json.Indent or a hand edit can give it — and
-// the compact reader refuses all of them. null and [] samples stay
-// distinct.
+// The reader accepts the compact encoding, and every whitespace form
+// json.Indent or a hand edit can give it once AppendCompact has
+// stripped it — and refuses all of them unstripped. null and []
+// samples stay distinct.
 func TestReaderWhitespace(t *testing.T) {
 	for _, want := range testRecords() {
 		compact := appendRecord(nil, &want)
@@ -102,8 +102,12 @@ func TestReaderWhitespace(t *testing.T) {
 			name string
 			data []byte
 		}{{"compact", compact}, {"indented", indented.Bytes()}, {"spaced", []byte(spaced)}, {"trailing", append(compact, " \n"...)}} {
-			r := NewIndentedReader(form.data)
-			got, err := readRecord(&r, want.S, false)
+			stripped, err := AppendCompact(nil, form.data)
+			if err != nil {
+				t.Fatalf("%s: AppendCompact: %v\n%s", form.name, err, form.data)
+			}
+			r := NewReader(stripped)
+			got, err := readRecord(&r, want.S, form.name == "compact")
 			if err != nil {
 				t.Fatalf("%s: %v\n%s", form.name, err, form.data)
 			}
@@ -111,10 +115,6 @@ func TestReaderWhitespace(t *testing.T) {
 				t.Fatalf("%s: read %+v, want %+v", form.name, got, want)
 			}
 			if form.name == "compact" {
-				r := NewReader(form.data)
-				if _, err := readRecord(&r, want.S, true); err != nil {
-					t.Fatalf("compact reader: %v", err)
-				}
 				continue
 			}
 			r = NewReader(form.data)
@@ -123,9 +123,14 @@ func TestReaderWhitespace(t *testing.T) {
 			}
 		}
 	}
-	// Whitespace never splits a token.
+	// Whitespace never splits a token: AppendCompact or the reader
+	// refuses it.
 	for _, bad := range []string{`{ "n" :1 2`, `{"n":- 1`, `{"n":1,"k":2,"x":1 .5`, `{" n":1`} {
-		r := NewIndentedReader([]byte(bad))
+		stripped, err := AppendCompact(nil, []byte(bad))
+		if err != nil {
+			continue
+		}
+		r := NewReader(stripped)
 		if _, err := readRecord(&r, "", false); err == nil {
 			t.Errorf("accepted %s", bad)
 		}
@@ -245,7 +250,7 @@ func TestReaderFloat(t *testing.T) {
 }
 
 // Every proper prefix of a record is an error, never a panic and never
-// a record, on both readers.
+// a record, compact or laid out and stripped.
 func TestReaderTruncation(t *testing.T) {
 	for _, want := range testRecords() {
 		compact := appendRecord(nil, &want)
@@ -255,11 +260,13 @@ func TestReaderTruncation(t *testing.T) {
 		}
 		for _, data := range [][]byte{compact, indented.Bytes()} {
 			for cut := 0; cut < len(data); cut++ {
-				r := NewIndentedReader(data[:cut])
-				if _, err := readRecord(&r, want.S, false); err == nil {
-					t.Fatalf("prefix of %d bytes of %s read as a record", cut, data)
+				if stripped, err := AppendCompact(nil, data[:cut]); err == nil {
+					r := NewReader(stripped)
+					if _, err := readRecord(&r, want.S, false); err == nil {
+						t.Fatalf("prefix of %d bytes of %s read as a record once stripped", cut, data)
+					}
 				}
-				r = NewReader(data[:cut])
+				r := NewReader(data[:cut])
 				if _, err := readRecord(&r, want.S, false); err == nil {
 					t.Fatalf("compact reader: prefix of %d bytes of %s read as a record", cut, data)
 				}
@@ -286,5 +293,72 @@ func TestReaderErrorsAreSticky(t *testing.T) {
 	}
 	if r.Len() != len(`x,"k":1}`) {
 		t.Fatalf("%d bytes unread, want the error's offset", r.Len())
+	}
+}
+
+// Uint reads exactly strconv's unsigned integers: up to MaxUint64, no
+// sign, no leading zero, no fraction or exponent.
+func TestReaderUint(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want uint64
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"7", 7, true},
+		{"9223372036854775807", math.MaxInt64, true},
+		{"9223372036854775808", 1 << 63, true},
+		{"18446744073709551615", math.MaxUint64, true},
+		{"18446744073709551616", 0, false},
+		{"99999999999999999999", 0, false},
+		{"-0", 0, false},
+		{"-1", 0, false},
+		{"+1", 0, false},
+		{"00", 0, false},
+		{"01", 0, false},
+		{"1.0", 0, false},
+		{"1e2", 0, false},
+		{"", 0, false},
+		{`"1"`, 0, false},
+	} {
+		r := NewReader([]byte(c.in))
+		got := r.Uint()
+		err := r.End()
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("Uint of %q = %d, %v; want %d, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+		if want, perr := strconv.ParseUint(c.in, 10, 64); c.ok && (perr != nil || want != got) {
+			t.Errorf("Uint of %q = %d, strconv: %d, %v", c.in, got, want, perr)
+		}
+	}
+}
+
+// String returns what encoding/json decodes from the same bytes —
+// escapes, surrogate pairs, lone surrogates and invalid UTF-8 as
+// U+FFFD — and refuses what it refuses. ExactString reads only
+// AppendString's spelling.
+func TestReaderString(t *testing.T) {
+	for _, in := range []string{
+		`""`, `"C=8"`, `"a b"`, `"{[,:]}"`, `"\"\\\/\b\f\n\r\t"`, `"A"`, `"A"`,
+		`"<>&"`, `"<>&"`, `"  "`, "\" \"", `"é"`, "\"é\"",
+		`"😀"`, `"😀"`, `"\ud83d"`, `"\ude00x"`, `"\ud83dA"`, `"\ud83d\\n"`,
+		`"�"`, "\"\xff\xfe\"", "\"a\xe2\x80\"", "\"\x7f\"", `"\u0000\u001f"`,
+		"\"\x00\"", "\"\x1f\"", "\"\n\"", `"\x"`, `"\'"`, `"\u12"`, `"\u12g4"`, `"\U0041"`,
+		`"unterminated`, `"trailing\`, `"`, ``, `x`, `7`,
+	} {
+		var want string
+		jerr := json.Unmarshal([]byte(in), &want)
+		r := NewReader([]byte(in))
+		got := r.String()
+		err := r.End()
+		if (err == nil) != (jerr == nil) || got != want {
+			t.Errorf("String of %q = %q, %v; encoding/json: %q, %v", in, got, err, want, jerr)
+		}
+		r = NewReader([]byte(in))
+		exact := r.ExactString()
+		err = r.End()
+		if canonical := jerr == nil && string(AppendString(nil, want)) == in; (err == nil) != canonical || exact != want && canonical {
+			t.Errorf("ExactString of %q = %q, %v; want canonical=%v", in, exact, err, canonical)
+		}
 	}
 }

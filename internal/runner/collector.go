@@ -142,11 +142,29 @@ func (c *Collector) AppendJSON(dst []byte) ([]byte, error) {
 func (c *Collector) MarshalJSON() ([]byte, error) { return c.AppendJSON(nil) }
 
 // UnmarshalJSON restores a collector marshalled by MarshalJSON,
-// indented or not. Every accumulator must account for every trial: each
-// trial adds one sample to each, counted or, for a non-finite mean
-// energy, dropped.
+// indented or not (see ReadJSON).
 func (c *Collector) UnmarshalJSON(data []byte) error {
-	r := jsonenc.NewIndentedReader(data)
+	compact, err := jsonenc.AppendCompact(nil, data)
+	if err != nil {
+		return err
+	}
+	r := jsonenc.NewReader(compact)
+	var out Collector
+	if err := out.ReadJSON(&r); err != nil {
+		return err
+	}
+	if err := r.End(); err != nil {
+		return err
+	}
+	*c = out
+	return nil
+}
+
+// ReadJSON reads one collector as AppendJSON writes it from r. Every
+// accumulator must account for every trial: each trial adds one sample
+// to each, counted or, for a non-finite mean energy, dropped. On an
+// error c is unchanged.
+func (c *Collector) ReadJSON(r *jsonenc.Reader) error {
 	out := Collector{
 		slots:        new(stats.Accumulator),
 		maxEnergy:    new(stats.Accumulator),
@@ -162,14 +180,14 @@ func (c *Collector) UnmarshalJSON(data []byte) error {
 		if r.Accept("null") {
 			return fmt.Errorf("runner: collector state is missing an accumulator")
 		}
-		if err := a.acc.ReadJSON(&r); err != nil {
+		if err := a.acc.ReadJSON(r); err != nil {
 			return err
 		}
 	}
 	r.Expect(`,"invariants":`)
-	out.invariants.ReadJSON(&r)
+	out.invariants.ReadJSON(r)
 	r.Expect("}")
-	if err := r.End(); err != nil {
+	if err := r.Err(); err != nil {
 		return err
 	}
 	for _, a := range out.accumulators() {

@@ -225,7 +225,11 @@ func (a *Accumulator) MarshalJSON() ([]byte, error) { return a.AppendJSON(nil) }
 // UnmarshalJSON restores an accumulator marshalled by MarshalJSON,
 // indented or not.
 func (a *Accumulator) UnmarshalJSON(data []byte) error {
-	r := jsonenc.NewIndentedReader(data)
+	compact, err := jsonenc.AppendCompact(nil, data)
+	if err != nil {
+		return err
+	}
+	r := jsonenc.NewReader(compact)
 	var b Accumulator
 	if err := b.ReadJSON(&r); err != nil {
 		return err
@@ -237,25 +241,30 @@ func (a *Accumulator) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// ReadJSON reads one accumulator as AppendJSON writes it from r and
-// checks its state: no negative count or dropped tally, a positive cap,
-// no more retained samples than the count or the cap, and every sample
-// finite. On an error a is unchanged.
+// ReadJSON reads one accumulator as AppendJSON writes it from r, every
+// float in AppendFloat's spelling, and checks its state: no negative
+// count or dropped tally, a positive cap, no more retained samples than
+// the count or the cap, and every sample finite. The state must also be
+// one AppendJSON writes as it was read — a dropped tally present only
+// when non-zero, min and max 0 at count 0 — so whatever it accepts
+// re-encodes byte for byte. On an error a is unchanged.
 func (a *Accumulator) ReadJSON(r *jsonenc.Reader) error {
 	var b Accumulator
 	r.Expect(`{"count":`)
 	b.count = r.Int(64)
+	zeroDropped := false
 	if r.Accept(`,"dropped":`) {
 		b.dropped = r.Int(64)
+		zeroDropped = b.dropped == 0
 	}
 	r.Expect(`,"mean":`)
-	b.mean = r.Float()
+	b.mean = r.ExactFloat()
 	r.Expect(`,"m2":`)
-	b.m2 = r.Float()
+	b.m2 = r.ExactFloat()
 	r.Expect(`,"min":`)
-	b.min = r.Float()
+	b.min = r.ExactFloat()
 	r.Expect(`,"max":`)
-	b.max = r.Float()
+	b.max = r.ExactFloat()
 	r.Expect(`,"cap":`)
 	b.cap = int(r.Int(strconv.IntSize))
 	r.Expect(`,"samples":`)
@@ -268,7 +277,7 @@ func (a *Accumulator) ReadJSON(r *jsonenc.Reader) error {
 			if len(b.samples) > 0 {
 				r.Expect(",")
 			}
-			b.samples = append(b.samples, r.Float())
+			b.samples = append(b.samples, r.ExactFloat())
 		}
 	}
 	r.Expect("}")
@@ -278,6 +287,10 @@ func (a *Accumulator) ReadJSON(r *jsonenc.Reader) error {
 	if b.count < 0 || b.dropped < 0 || b.cap < 1 || int64(len(b.samples)) > b.count || len(b.samples) > b.cap {
 		return fmt.Errorf("stats: invalid accumulator state (count=%d dropped=%d cap=%d samples=%d)",
 			b.count, b.dropped, b.cap, len(b.samples))
+	}
+	if zeroDropped || (b.count == 0 && math.Float64bits(b.min)|math.Float64bits(b.max) != 0) {
+		return fmt.Errorf("stats: accumulator state not as AppendJSON writes it (dropped field 0: %v, count 0 with min=%v max=%v)",
+			zeroDropped, b.min, b.max)
 	}
 	for _, x := range b.samples {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
