@@ -47,6 +47,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -253,6 +254,20 @@ const entrySize = 1024
 // cache directory is ignored.
 const segExt = ".seg"
 
+// minRecord is the length of the shortest record Load accepts, newline
+// included: every number in it a single digit.
+var minRecord = func() int64 {
+	zeros := strings.Repeat("0", jsonenc.DigestLen)
+	e := entry{SchemaVersion: SchemaVersion, Checksum: zeros, Key: zeros}
+	rec, _, _ := e.appendJSON(nil)
+	return int64(len(rec) + 1)
+}()
+
+// maxIndexHint caps the records Open reserves index room for from the
+// segments' sizes — about 4 MiB of index — so a huge junk file named
+// *.seg cannot make Open reserve memory in proportion to its size.
+const maxIndexHint = 1 << 17
+
 // scanBuf is Open's read buffer. A line longer than it cannot be a
 // record (an entry fits in entrySize), so the scan skips it whole.
 const scanBuf = 64 << 10
@@ -260,6 +275,22 @@ const scanBuf = 64 << 10
 // keyField precedes the key in a record; keyPrefix reads the digits
 // after it.
 var keyField = []byte(`,"key":"`)
+
+// hexVal maps each lower-case hex digit to its value and every other
+// byte to 0xff, whose high bits no digit's value has.
+var hexVal = func() (t [256]byte) {
+	for c := range t {
+		switch {
+		case '0' <= c && c <= '9':
+			t[c] = byte(c - '0')
+		case 'a' <= c && c <= 'f':
+			t[c] = byte(c - 'a' + 10)
+		default:
+			t[c] = 0xff
+		}
+	}
+	return t
+}()
 
 // keyPrefix decodes the first 16 hex digits of a key — its first 8
 // bytes, the index address. Key writes lower-case hex, so anything else
@@ -269,17 +300,14 @@ func keyPrefix[T string | []byte](key T) (uint64, bool) {
 		return 0, false
 	}
 	var p uint64
+	var seen byte // every value ORed: above 0xf if a byte was not a digit
 	for i := 0; i < 16; i++ {
-		c := key[i]
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		default:
-			return 0, false
-		}
-		p = p<<4 | uint64(c)
+		v := hexVal[key[i]]
+		seen |= v
+		p = p<<4 | uint64(v)
+	}
+	if seen > 0xf {
+		return 0, false
 	}
 	return p, true
 }
@@ -337,17 +365,25 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	s := &Store{dir: dir, index: make(map[uint64]record), own: -1}
-	var r *bufio.Reader
+	s := &Store{dir: dir, own: -1}
+	var size int64 // the segments' total bytes
 	for _, e := range ents {
 		if e.IsDir() || filepath.Ext(e.Name()) != segExt {
 			continue
 		}
-		if r == nil {
-			r = bufio.NewReaderSize(nil, scanBuf)
+		if info, err := e.Info(); err == nil {
+			size += info.Size()
 		}
 		s.segs = append(s.segs, segFile{path: filepath.Join(dir, e.Name())})
-		s.scan(int32(len(s.segs)-1), r)
+	}
+	// Reserve the index for as many records as the segments could hold,
+	// so the scan does not grow it step by step.
+	s.index = make(map[uint64]record, min(size/minRecord, maxIndexHint))
+	if len(s.segs) > 0 {
+		r := bufio.NewReaderSize(nil, scanBuf)
+		for seg := range s.segs {
+			s.scan(int32(seg), r)
+		}
 	}
 	return s, nil
 }

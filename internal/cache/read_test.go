@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -383,4 +385,101 @@ func BenchmarkKey(b *testing.B) {
 			seed++
 		}
 	})
+}
+
+// keyPrefixSwitch is the per-digit decoder keyPrefix's table replaced,
+// kept as its reference.
+func keyPrefixSwitch(key string) (uint64, bool) {
+	if len(key) < 16 {
+		return 0, false
+	}
+	var p uint64
+	for i := 0; i < 16; i++ {
+		c := key[i]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		default:
+			return 0, false
+		}
+		p = p<<4 | uint64(c)
+	}
+	return p, true
+}
+
+// keyPrefix's table decodes exactly what the switch did: every byte
+// value at every one of the 16 positions, in both of its instances,
+// and keys of every length short of 16. Upper-case hex, non-hex and
+// short keys stay misses for Load, Locate and Put.
+func TestKeyPrefixTable(t *testing.T) {
+	key := Key("n=16", "mcast n=16 adv=random seed=1", 3)
+	for i := 0; i < 16; i++ {
+		for c := 0; c < 256; c++ {
+			k := []byte(key)
+			k[i] = byte(c)
+			wp, wok := keyPrefixSwitch(string(k))
+			if p, ok := keyPrefix(k); p != wp || ok != wok {
+				t.Fatalf("byte %#02x at %d: []byte form %x,%v, want %x,%v", c, i, p, ok, wp, wok)
+			}
+			if p, ok := keyPrefix(string(k)); p != wp || ok != wok {
+				t.Fatalf("byte %#02x at %d: string form %x,%v, want %x,%v", c, i, p, ok, wp, wok)
+			}
+		}
+	}
+	for n := 0; n < 16; n++ {
+		if _, ok := keyPrefix(key[:n]); ok {
+			t.Fatalf("a %d-digit key decoded", n)
+		}
+	}
+
+	s := openStore(t)
+	if err := s.Put(key, testMetrics()); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{strings.ToUpper(key), "g" + key[1:], key[:15], ""} {
+		if _, ok := s.Load(bad); ok {
+			t.Errorf("Load(%q) hit", bad)
+		}
+		if _, _, _, ok := s.Locate(bad); ok {
+			t.Errorf("Locate(%q) found a record", bad)
+		}
+		if err := s.Put(bad, testMetrics()); err == nil {
+			t.Errorf("Put(%q) accepted a malformed key", bad)
+		}
+	}
+	if m, ok := reopen(t, s).Load(key); !ok || m != testMetrics() {
+		t.Fatalf("the well-formed key no longer hits: ok=%v", ok)
+	}
+}
+
+// Open reserves index room from the segments' sizes, but no more than
+// maxIndexHint records' worth: a 256 MiB junk segment (sparse, so it
+// costs no disk) would otherwise reserve an index of about 15 MiB.
+func TestOpenCapsIndexHint(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "junk.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(256 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Open(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.index) != 0 {
+		t.Fatalf("junk indexed %d records", len(s.index))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("Open of a junk segment allocated %d bytes, want at most 8 MiB", got)
+	}
 }

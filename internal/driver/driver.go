@@ -7,8 +7,9 @@
 // bit for bit.
 //
 // The pool decouples who computes a cell from where its result lands
-// (see pool.go): workers claim cells in ascending grid order, and one
-// fold stage lands each shard's cells, in order, in that shard's
+// (see pool.go): workers claim cells one at a time in ascending grid
+// order and hand their results over in batches, and one fold stage
+// lands each shard's cells, in order, in that shard's
 // campaign.Checkpointer. So a crashed or cancelled driver resumes every
 // shard at its next undone grid cell, and the artifact directory is the
 // only resume state, which is what makes a driven campaign killable:

@@ -5,17 +5,19 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"multicast/internal/campaign"
 	"multicast/internal/sim"
 )
 
 // The pool decouples who computes a grid cell from where its result
-// lands. Shards×Workers workers claim cells in ascending global index g
-// from one shared counter; a single fold stage receives the computed
-// metrics tagged with g and replays each shard's cells in ascending-g
-// order into that shard's campaign.Checkpointer. Folding in grid order
-// is what keeps the two standing contracts intact:
+// lands. Shards×Workers workers claim cells one at a time, in ascending
+// global index g, from one shared counter; each worker hands its
+// computed metrics, tagged with g, to a single fold stage in batches,
+// and the fold stage replays each shard's cells in ascending-g order
+// into that shard's campaign.Checkpointer. Folding in grid order is
+// what keeps the two standing contracts intact:
 //
 //   - each shard's accumulators see the exact insertion order a
 //     `-shard i/k` run through runner.RunSweep delivers, so the shard
@@ -30,6 +32,22 @@ type cellResult struct {
 	g int
 	m sim.Metrics
 }
+
+// A worker sends its computed cells to the fold stage in batches: it
+// sends a batch once it holds batchCells results or batchAge has passed
+// since it began the batch's first cell, and the remainder when it runs
+// out of cells. A simulated cell takes 1–20 ms, longer than batchAge,
+// so it travels alone; cache hits, about 5 µs each, travel 40–64 to a
+// send. With one send per cell into one slot per worker, a
+// replay-warm-shaped campaign (10 000 cached cells, 2 workers,
+// GOMAXPROCS=2) kept 1.1–1.24 of its 2 cores busy; batches keep
+// 1.51–1.55 busy and replay 1.3–1.4× as many cells/s.
+// BenchmarkDriveWarm read within noise of these two values at 16–256
+// cells and 50 µs–1 ms (docs/PERFORMANCE.md, "The pool handoff").
+const (
+	batchCells = 64
+	batchAge   = 200 * time.Microsecond
+)
 
 // finishShard writes shard s's completed artifact (through the chaos
 // artifact-fault seam), drops its checkpoint, and announces the shard
@@ -123,9 +141,11 @@ func (d *drive) runAttempt(ctx context.Context, attempt int, finished []bool) (s
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	workers := k * d.opts.Workers
-	// One slot per worker: a worker hands its cell over and claims the
-	// next while the fold stage catches up.
-	results := make(chan cellResult, workers)
+	// One slot per worker: a worker hands its batch over and claims the
+	// next cell while the fold stage catches up. A batch a worker still
+	// holds while its next cell simulates folds one cell later than a
+	// lone send would have; nothing else about the fold changes.
+	results := make(chan []cellResult, workers)
 
 	// The failure at the lowest grid index names the attempt — a
 	// deterministic pick, whatever order the pool hit failures in.
@@ -148,13 +168,32 @@ func (d *drive) runAttempt(ctx context.Context, attempt int, finished []bool) (s
 		go func() {
 			defer wg.Done()
 			ex := sim.NewExecutor()
+			var batch []cellResult
+			var begun time.Time // when the worker began batch[0]
+			// send hands batch to the fold stage; false means the pool
+			// stopped, and the batch is dropped.
+			send := func() bool {
+				select {
+				case results <- batch:
+					batch = nil // the fold stage owns the sent slice
+					return true
+				case <-runCtx.Done():
+					return false
+				}
+			}
 			for runCtx.Err() == nil {
 				g := int(next.Add(1) - 1)
 				if g >= total {
+					if len(batch) > 0 {
+						send()
+					}
 					return
 				}
 				if g/k < start[g%k] {
 					continue // folded before this attempt
+				}
+				if len(batch) == 0 {
+					begun = time.Now()
 				}
 				m, err := d.grid.RunCell(runCtx.Done(), ex, g)
 				if err != nil {
@@ -163,9 +202,8 @@ func (d *drive) runAttempt(ctx context.Context, attempt int, finished []bool) (s
 					}
 					return
 				}
-				select {
-				case results <- cellResult{g: g, m: m}:
-				case <-runCtx.Done():
+				batch = append(batch, cellResult{g: g, m: m})
+				if (len(batch) == batchCells || time.Since(begun) >= batchAge) && !send() {
 					return
 				}
 			}
@@ -180,46 +218,60 @@ func (d *drive) runAttempt(ctx context.Context, attempt int, finished []bool) (s
 	// injected crash, an artifact write error) stops only its own shard:
 	// every other shard still reaches all of its own fault points, so a
 	// seeded chaos schedule plays out the same way on every run.
-	pending := make(map[int]sim.Metrics, workers)
+	//
+	// pending points into the received batches rather than copying each
+	// cell's Metrics: a map keeps values over 128 bytes out of line, so a
+	// copy would cost a heap allocation per cell.
+	pending := make(map[int]*sim.Metrics, workers*batchCells)
 	shardErrs := make([]error, k) // the fold-side failure per shard
 	leave := func(s int, err error) {
 		shardErrs[s] = err
 		active--
 	}
+	// land folds r and then every pending cell its shard's slice
+	// reaches through it.
+	land := func(r *cellResult) {
+		s := r.g % k
+		if shardErrs[s] != nil {
+			return // the shard already failed; drop its stragglers
+		}
+		pending[r.g] = &r.m
+		ck := cks[s]
+		for {
+			g := s + ck.Done()*k
+			m, ok := pending[g]
+			if !ok {
+				return
+			}
+			delete(pending, g)
+			p, t := d.grid.Split(g)
+			if err := ck.Add(p, t, *m); err != nil {
+				leave(s, err)
+				return
+			}
+			d.emit(Event{Shard: s, Kind: EventCell, Done: ck.Done(), Total: locals[s], Attempt: attempt,
+				Cache: d.cache.mark(g)})
+			if chaos != nil && chaos.Cell != nil {
+				if err := chaos.Cell(runCtx, s, attempt, ck.Done()); err != nil {
+					leave(s, err)
+					return
+				}
+			}
+			if ck.Done() == locals[s] {
+				leave(s, d.finishShard(s, attempt, ck, finished))
+				return
+			}
+		}
+	}
 fold:
 	for active > 0 {
 		select {
-		case r := <-results:
-			s := r.g % k
-			if shardErrs[s] != nil {
-				continue // the shard already failed; drop its stragglers
-			}
-			pending[r.g] = r.m
-			ck := cks[s]
-			for {
-				g := s + ck.Done()*k
-				m, ok := pending[g]
-				if !ok {
-					break
+		case batch := <-results:
+			for i := range batch {
+				if runCtx.Err() != nil {
+					break fold // the pool stopped; drop the rest, as a worker would
 				}
-				delete(pending, g)
-				p, t := d.grid.Split(g)
-				if err := ck.Add(p, t, m); err != nil {
-					leave(s, err)
-					break
-				}
-				d.emit(Event{Shard: s, Kind: EventCell, Done: ck.Done(), Total: locals[s], Attempt: attempt,
-					Cache: d.cache.mark(g)})
-				if chaos != nil && chaos.Cell != nil {
-					if err := chaos.Cell(runCtx, s, attempt, ck.Done()); err != nil {
-						leave(s, err)
-						break
-					}
-				}
-				if ck.Done() == locals[s] {
-					leave(s, d.finishShard(s, attempt, ck, finished))
-					break
-				}
+				land(&batch[i])
 			}
 		case <-runCtx.Done():
 			break fold

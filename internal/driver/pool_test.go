@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"multicast/internal/adversary"
+	"multicast/internal/cache"
 	"multicast/internal/campaign"
 	"multicast/internal/runner"
 	"multicast/internal/sim"
@@ -163,4 +165,155 @@ func TestDriveResumesOldSidecars(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cheapSpec builds a campaign of points×trials short cells: n=16,
+// budget 500, each point its own adversary fraction. A miss simulates
+// in about 0.4 ms and a hit takes microseconds, so a worker's batches
+// hold runs of hits, each closed by the miss that follows it, if any.
+func cheapSpec(points, trials int) Spec {
+	pts := make([]sim.Config, points)
+	meta := make([]campaign.Point, points)
+	for p := range pts {
+		frac := 0.1 * float64(p+1)
+		pts[p] = sim.Config{N: 16, Algorithm: mcast(16), Adversary: adversary.RandomFraction(frac), Budget: 500, Seed: 11}
+		meta[p] = campaign.Point{Label: fmt.Sprintf("p%d", p), Workload: fmt.Sprintf("mcast n=16 adv=random frac=%.1f budget=500 seed=11", frac)}
+	}
+	return Spec{Template: campaign.New("cheap-sweep", 11, trials, meta), Points: pts, Trials: trials}
+}
+
+// storeCells computes every cell of the spec's points for which keep
+// returns true and puts it in store, outside the driver.
+func storeCells(t testing.TB, spec Spec, store *cache.Store, keep func(point int) bool) {
+	t.Helper()
+	grid, err := runner.NewGrid(spec.Points, spec.Trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := sim.NewExecutor()
+	for g := 0; g < grid.Total(); g++ {
+		p, _ := grid.Split(g)
+		if !keep(p) {
+			continue
+		}
+		m, err := grid.RunCell(nil, ex, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt := spec.Template.Points[p]
+		if err := store.Put(cache.Key(pt.Label, pt.Workload, grid.Seed(g)), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// With every other point's cells cached, runs of cheap hits and runs of
+// misses alternate along the grid, and workers hand over batches that
+// mix both. Whatever the batches, each shard folds its cells in order:
+// the artifacts equal the shard-and-merge reference, each shard's
+// EventCell Done counts run 1..local, and exactly the pre-stored cells
+// are marked hits. A warm campaign crashed mid-shard, while batches are
+// in flight, resumes to the same bytes.
+func TestPoolMixedHitsAndMisses(t *testing.T) {
+	spec := cheapSpec(4, 24)
+	stored := func(p int) bool { return p%2 == 0 }
+	for _, k := range []int{1, 3} {
+		ref := shardMergeBytes(t, spec, k)
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("k=%d/workers=%d", k, workers), func(t *testing.T) {
+				store, err := cache.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer store.Close()
+				storeCells(t, spec, store, stored)
+
+				// Progress callbacks are serialized by the driver.
+				done := make([]int, k)
+				sum, err := Run(context.Background(), spec, Options{
+					Shards: k, Workers: workers, Dir: t.TempDir(), Cache: store,
+					CheckpointEvery: spec.Trials,
+					Progress: func(ev Event) {
+						if ev.Kind != EventCell {
+							return
+						}
+						s := ev.Shard
+						if ev.Done != done[s]+1 {
+							t.Errorf("shard %d: EventCell Done %d after %d", s, ev.Done, done[s])
+						}
+						done[s] = ev.Done
+						p := (s + (ev.Done-1)*k) / spec.Trials
+						want := CacheMiss
+						if stored(p) {
+							want = CacheHit
+						}
+						if ev.Cache != want {
+							t.Errorf("shard %d cell %d (point %d): cache %q, want %q", s, ev.Done, p, ev.Cache, want)
+						}
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s, n := range done {
+					if local := (runner.Shard{Index: s, Count: k}).Cells(spec.Trials * len(spec.Points)); n != local {
+						t.Errorf("shard %d folded %d cells, want %d", s, n, local)
+					}
+				}
+				if got := summaryBytes(t, sum); !bytes.Equal(got, ref) {
+					t.Errorf("mixed hit/miss campaign differs from the shard-and-merge reference")
+				}
+
+				// The crash column: the cache is warm now, so every cell is
+				// a hit, and shard 0 fails mid-slice while other batches
+				// are still on their way to the fold.
+				dir := t.TempDir()
+				crashAt := spec.Trials * len(spec.Points) / k / 2
+				_, err = Run(context.Background(), spec, Options{
+					Shards: k, Workers: workers, Dir: dir, Cache: store,
+					Chaos: cellHook(crashShardAt(0, crashAt)),
+				})
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("shard 0/%d failed", k)) {
+					t.Fatalf("crash run err = %v, want shard 0/%d failing the campaign", err, k)
+				}
+				resumed, err := Run(context.Background(), spec, Options{
+					Shards: k, Workers: workers, Dir: dir, Cache: store, Resume: true,
+				})
+				if err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				if got := summaryBytes(t, resumed); !bytes.Equal(got, ref) {
+					t.Errorf("crashed+resumed warm campaign differs from the shard-and-merge reference")
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDriveWarm drives a warm-cache campaign of 4 points × 500
+// trials on one shard with 2 workers and one checkpoint flush: every
+// cell is a cache hit, so the pool's handoff to the fold stage, not the
+// engine, bounds the cells/s it reports.
+func BenchmarkDriveWarm(b *testing.B) {
+	spec := cheapSpec(4, 500)
+	cells := spec.Trials * len(spec.Points)
+	store, err := cache.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	storeCells(b, spec, store, func(int) bool { return true })
+	root := b.TempDir()
+	opts := Options{Shards: 1, Workers: 2, Cache: store, CheckpointEvery: cells}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.Dir = filepath.Join(root, fmt.Sprint(i))
+		if _, err := Run(context.Background(), spec, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		os.RemoveAll(opts.Dir)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.N*cells)/b.Elapsed().Seconds(), "cells/s")
 }
