@@ -1,11 +1,8 @@
 package multicast
 
 import (
-	"fmt"
-
 	"multicast/internal/adversary"
-	"multicast/internal/core"
-	"multicast/internal/rng"
+	"multicast/internal/scenario"
 )
 
 // NoJammer returns the absent adversary (T = 0).
@@ -46,17 +43,7 @@ func StopJammingAfter(inner Adversary, stop int64) Adversary {
 // the algorithm's; channelsC ≤ 0 targets the unlimited-channel schedule,
 // otherwise the MultiCastAdv(C) schedule for that C.
 func PhaseTargetedJammer(params Params, channelsC, targetJ int, f float64) Adversary {
-	name := fmt.Sprintf("phase-targeted(j=%d,f=%.2f)", targetJ, f)
-	return adversary.NewFactory(name, func(r *rng.Source) adversary.Strategy {
-		var sched *core.AdvSchedule
-		if channelsC > 0 {
-			sched = core.NewAdvScheduleC(params, channelsC)
-		} else {
-			sched = core.NewAdvSchedule(params)
-		}
-		pred := sched.ActiveFunc(func(w core.StepWindow) bool { return w.J == targetJ })
-		return adversary.NewWindowed(name, adversary.BlockFraction(f).New(r), pred)
-	})
+	return scenario.PhaseTargeted(params, channelsC, targetJ, f)
 }
 
 // ReactiveJammer is an *adaptive* jammer (the §8 future-work model, beyond

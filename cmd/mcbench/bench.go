@@ -148,16 +148,6 @@ type legResult struct {
 	EventSpeedupQuick float64        `json:"event_speedup_quick,omitempty"`
 }
 
-// cacheBenchResult is the cold-vs-warm leg of the result cache: the
-// same driven campaign timed while simulating every cell (cold, filling
-// the cache) and while replaying every cell from it (warm).
-type cacheBenchResult struct {
-	Cells         int     `json:"cells"`
-	ColdSeconds   float64 `json:"cold_seconds"`
-	WarmSeconds   float64 `json:"warm_seconds"`
-	ReplaySpeedup float64 `json:"replay_speedup"`
-}
-
 // benchReport is the BENCH_sim.json schema. The MultiCastCore leg's
 // fields sit at the top level, where they predate the other legs.
 type benchReport struct {
@@ -166,8 +156,7 @@ type benchReport struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	legResult
-	MultiCast *legResult        `json:"multicast,omitempty"`
-	Cache     *cacheBenchResult `json:"cache,omitempty"`
+	MultiCast *legResult `json:"multicast,omitempty"`
 }
 
 // sections returns the report's leg sections in benchLegs order; a leg
@@ -277,58 +266,6 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// runCacheBench times the fixed scenario as a driven campaign twice
-// over one result cache: cold (every cell simulated and stored) and
-// warm, into a fresh campaign directory (every cell replayed). The
-// ratio is the cache's replay speedup. Any warm miss means the cache
-// plumbing is broken, so it is a hard error, not a smaller number.
-func runCacheBench(trials uint64) (*cacheBenchResult, error) {
-	cfg := benchScenario()
-	cfg.Seed = 1
-	cacheDir, err := os.MkdirTemp("", "mcbench-cache-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(cacheDir)
-	run := func() (secs float64, misses int64, err error) {
-		dir, err := os.MkdirTemp("", "mcbench-campaign-")
-		if err != nil {
-			return 0, 0, err
-		}
-		defer os.RemoveAll(dir)
-		start := time.Now()
-		_, err = multicast.RunCampaign(context.Background(), cfg, multicast.CampaignPlan{
-			Trials: int(trials), Shards: 1, Workers: 1, Dir: dir, CacheDir: cacheDir,
-			Progress: func(ev multicast.CampaignEvent) {
-				if ev.Kind == multicast.CampaignShardCell && ev.Cache == multicast.CampaignCellCacheMiss {
-					misses++
-				}
-			},
-		})
-		return time.Since(start).Seconds(), misses, err
-	}
-	cold, misses, err := run()
-	if err != nil {
-		return nil, err
-	}
-	if misses != int64(trials) {
-		return nil, fmt.Errorf("cache benchmark: cold run missed %d of %d cells — the cache was not empty", misses, trials)
-	}
-	warm, misses, err := run()
-	if err != nil {
-		return nil, err
-	}
-	if misses != 0 {
-		return nil, fmt.Errorf("cache benchmark: warm run re-simulated %d of %d cells", misses, trials)
-	}
-	return &cacheBenchResult{
-		Cells:         int(trials),
-		ColdSeconds:   cold,
-		WarmSeconds:   warm,
-		ReplaySpeedup: cold / warm,
-	}, nil
-}
-
 // runEngineBench measures every leg and writes the JSON report to
 // path. A full run records both baselines per leg: the full-scale ratio
 // and, from separate quick-scale rounds measured first, the quick one
@@ -360,25 +297,9 @@ func runEngineBench(path string, quick bool) error {
 			leg.name, res.Dense.SlotsPerSec, res.Event.SlotsPerSec, res.EventSpeedup, res.Rounds, res.EventSpeedupQuick)
 	}
 	report.legResult, report.MultiCast = results[0], &results[1]
-	// The cache leg replays the MultiCastCore leg's trials as cells.
-	trials := legs[0].trials
-	if quick {
-		trials = legs[0].quickTrials
-	}
-	cacheRes, err := runCacheBench(trials)
-	if err != nil {
-		return err
-	}
-	report.Cache = cacheRes
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("cache (%d cells): cold %.3fs, warm replay %.3fs (%.1fx) → %s\n",
-		cacheRes.Cells, cacheRes.ColdSeconds, cacheRes.WarmSeconds, cacheRes.ReplaySpeedup, path)
-	return nil
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

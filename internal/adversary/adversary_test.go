@@ -14,7 +14,7 @@ func fill(t *testing.T, f Factory, slot int64, channels int) (*bitset.Set, int) 
 	mask := bitset.New(channels)
 	s := f.New(rng.New(1))
 	n := s.Fill(slot, channels, mask)
-	if got := mask.CountRange(channels); got != n {
+	if got := mask.Count(); got != n {
 		t.Fatalf("%s: Fill returned %d but mask has %d bits", s.Name(), n, got)
 	}
 	return mask, n
@@ -221,8 +221,8 @@ func TestTruncate(t *testing.T) {
 	mask := bitset.New(16)
 	mask.SetRange(0, 10)
 	got := Truncate(mask, 16, 10, 4)
-	if got != 4 || mask.CountRange(16) != 4 {
-		t.Fatalf("Truncate → %d bits (reported %d), want 4", mask.CountRange(16), got)
+	if got != 4 || mask.Count() != 4 {
+		t.Fatalf("Truncate → %d bits (reported %d), want 4", mask.Count(), got)
 	}
 	// Keeps the lowest channels (clears from the top).
 	for ch := 0; ch < 4; ch++ {
@@ -274,7 +274,7 @@ func TestQuickTruncate(t *testing.T) {
 			}
 		}
 		got := Truncate(mask, channels, count, int(keep))
-		if got != mask.CountRange(channels) {
+		if got != mask.Count() {
 			return false
 		}
 		return got <= count && (got <= int(keep) || count <= int(keep))
@@ -298,7 +298,7 @@ func TestQuickStrategiesConsistent(t *testing.T) {
 			s := fac.New(rng.New(seed))
 			mask := bitset.New(channels)
 			n := s.Fill(slot, channels, mask)
-			if n != mask.CountRange(channels) || n > channels {
+			if n != mask.Count() || n > channels {
 				return false
 			}
 		}

@@ -78,23 +78,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// CountRange returns the number of set bits in [0, limit).
-// It panics if limit is out of [0, Len()].
-func (s *Set) CountRange(limit int) int {
-	if limit < 0 || limit > s.n {
-		panic("bitset: CountRange limit out of range")
-	}
-	c := 0
-	full := limit >> 6
-	for i := 0; i < full; i++ {
-		c += bits.OnesCount64(s.words[i])
-	}
-	if rem := uint(limit) & 63; rem != 0 {
-		c += bits.OnesCount64(s.words[full] & ((1 << rem) - 1))
-	}
-	return c
-}
-
 // SetRange sets all bits in [lo, hi).
 func (s *Set) SetRange(lo, hi int) {
 	if lo < 0 || hi > s.n || lo > hi {
@@ -115,19 +98,4 @@ func (s *Set) SetRange(lo, hi int) {
 		s.words[i] = ^uint64(0)
 	}
 	s.words[last] |= hiMask
-}
-
-// CopyFrom makes s an exact copy of other (capacity and contents).
-func (s *Set) CopyFrom(other *Set) {
-	s.Grow(other.n)
-	s.n = other.n
-	s.words = s.words[:0]
-	s.words = append(s.words, other.words...)
-}
-
-// Clone returns a deep copy.
-func (s *Set) Clone() *Set {
-	c := New(s.n)
-	copy(c.words, s.words)
-	return c
 }

@@ -60,8 +60,6 @@ func TestOutOfRangePanics(t *testing.T) {
 		func(s *Set) { s.Set(100) },
 		func(s *Set) { s.Test(100) },
 		func(s *Set) { s.Clear(-5) },
-		func(s *Set) { s.CountRange(101) },
-		func(s *Set) { s.CountRange(-1) },
 		func(s *Set) { s.SetRange(-1, 5) },
 		func(s *Set) { s.SetRange(5, 101) },
 		func(s *Set) { s.SetRange(7, 3) },
@@ -99,21 +97,6 @@ func TestReset(t *testing.T) {
 	}
 	if s.Len() != 300 {
 		t.Fatalf("Reset changed capacity: %d", s.Len())
-	}
-}
-
-func TestCountRange(t *testing.T) {
-	s := New(256)
-	for i := 0; i < 256; i += 2 {
-		s.Set(i)
-	}
-	tests := []struct{ limit, want int }{
-		{0, 0}, {1, 1}, {2, 1}, {3, 2}, {64, 32}, {65, 33}, {128, 64}, {256, 128},
-	}
-	for _, tc := range tests {
-		if got := s.CountRange(tc.limit); got != tc.want {
-			t.Errorf("CountRange(%d) = %d, want %d", tc.limit, got, tc.want)
-		}
 	}
 }
 
@@ -165,30 +148,6 @@ func TestGrowShrinkIsNoop(t *testing.T) {
 	}
 }
 
-func TestCloneAndCopyFrom(t *testing.T) {
-	s := New(150)
-	s.Set(0)
-	s.Set(149)
-	c := s.Clone()
-	c.Clear(0)
-	if !s.Test(0) {
-		t.Fatal("Clone aliases source storage")
-	}
-	if c.Test(0) || !c.Test(149) {
-		t.Fatal("Clone contents wrong")
-	}
-
-	var d Set
-	d.CopyFrom(s)
-	if d.Len() != 150 || !d.Test(0) || !d.Test(149) || d.Count() != 2 {
-		t.Fatal("CopyFrom contents wrong")
-	}
-	d.Set(5)
-	if s.Test(5) {
-		t.Fatal("CopyFrom aliases source storage")
-	}
-}
-
 // Property: Count equals the number of distinct indices set.
 func TestQuickCountMatchesSets(t *testing.T) {
 	f := func(idx []uint16) bool {
@@ -199,23 +158,6 @@ func TestQuickCountMatchesSets(t *testing.T) {
 			uniq[i] = true
 		}
 		return s.Count() == len(uniq)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CountRange(limit) ≤ Count and CountRange(Len) == Count.
-func TestQuickCountRangeConsistent(t *testing.T) {
-	f := func(idx []uint16, limit uint16) bool {
-		s := New(1 << 16)
-		for _, i := range idx {
-			s.Set(int(i))
-		}
-		if s.CountRange(s.Len()) != s.Count() {
-			return false
-		}
-		return s.CountRange(int(limit)) <= s.Count()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -251,14 +193,4 @@ func BenchmarkSetTest(b *testing.B) {
 			b.Fatal("bit missing")
 		}
 	}
-}
-
-func BenchmarkCountRange(b *testing.B) {
-	s := New(4096)
-	s.SetRange(0, 4096)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink = s.CountRange(3000)
-	}
-	_ = sink
 }

@@ -32,30 +32,3 @@ func FuzzSetRange(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCountRange cross-checks CountRange against per-bit counting.
-func FuzzCountRange(f *testing.F) {
-	f.Add([]byte{0xff, 0x01}, uint16(9))
-	f.Add([]byte{}, uint16(0))
-	f.Fuzz(func(t *testing.T, raw []byte, limitRaw uint16) {
-		n := len(raw)*8 + 1
-		s := New(n)
-		for i, b := range raw {
-			for bit := 0; bit < 8; bit++ {
-				if b&(1<<bit) != 0 {
-					s.Set(i*8 + bit)
-				}
-			}
-		}
-		limit := int(limitRaw) % (n + 1)
-		want := 0
-		for i := 0; i < limit; i++ {
-			if s.Test(i) {
-				want++
-			}
-		}
-		if got := s.CountRange(limit); got != want {
-			t.Fatalf("CountRange(%d) = %d, want %d", limit, got, want)
-		}
-	})
-}

@@ -209,7 +209,6 @@ func (r *armedRule) matchAttempt(attempt int) bool {
 // at most once per Injector).
 type Injector struct {
 	mu      sync.Mutex
-	plan    Plan
 	rules   []*armedRule
 	events  []Event
 	flushes map[[2]int]int // (shard, attempt) → flush ordinal
@@ -218,7 +217,7 @@ type Injector struct {
 
 // New validates the plan and returns its injector.
 func New(p Plan) (*Injector, error) {
-	in := &Injector{plan: p, flushes: make(map[[2]int]int)}
+	in := &Injector{flushes: make(map[[2]int]int)}
 	sm := rng.NewSplitMix64(p.Seed)
 	for i, r := range p.Faults {
 		nr, err := r.normalize()
@@ -230,9 +229,6 @@ func New(p Plan) (*Injector, error) {
 	}
 	return in, nil
 }
-
-// Plan returns the schedule the injector was built from.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Hooks adapts the injector to the driver's chaos seam.
 func (in *Injector) Hooks() *driver.ChaosHooks {

@@ -77,10 +77,6 @@ func (a *MultiCastAdv) ChannelSpan(slot int64) (int, int64) {
 	return w.Channels, w.End
 }
 
-// Schedule returns a fresh copy of the algorithm's phase schedule, for
-// adversaries and experiment harnesses.
-func (a *MultiCastAdv) Schedule() *AdvSchedule { return newAdvSchedule(a.params, a.jCut) }
-
 // NewNode implements protocol.Algorithm. Per the protocol contract, the
 // node copies *r; the pointer is not retained.
 func (a *MultiCastAdv) NewNode(id int, source bool, r *rng.Source) protocol.Node {
@@ -151,9 +147,6 @@ func (nd *advNode) drawGap() {
 func (nd *advNode) Status() protocol.Status { return nd.status }
 
 func (nd *advNode) Informed() bool { return nd.knowsM }
-
-// Phase returns the node's current (epoch, phase, step) — test hook.
-func (nd *advNode) Phase() (i, j, step int) { return nd.cur.I, nd.cur.J, nd.cur.Step }
 
 // HelperPhase returns the recorded (iˆ, jˆ) — test hook; valid once the
 // node has reached helper status.

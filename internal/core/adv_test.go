@@ -296,8 +296,8 @@ func TestAdvHaltAfterGapInQuietPhase(t *testing.T) {
 	if nd.Status() != protocol.Halted {
 		t.Fatal("helper never halted in quiet phases")
 	}
-	if i, j, _ := nd.Phase(); i != 1+gap || j != 0 {
-		t.Fatalf("halted in phase (%d,%d), want (%d,0)", i, j, 1+gap)
+	if nd.cur.I != 1+gap || nd.cur.J != 0 {
+		t.Fatalf("halted in phase (%d,%d), want (%d,0)", nd.cur.I, nd.cur.J, 1+gap)
 	}
 }
 
@@ -326,8 +326,7 @@ func TestAdvNoHaltInWrongPhase(t *testing.T) {
 			walkStep(t, nd, nil)
 		}
 		if nd.Status() == protocol.Halted {
-			i, j, _ := nd.Phase()
-			t.Fatalf("halted in phase (%d,%d) although jˆ=0 phases were noisy", i, j)
+			t.Fatalf("halted in phase (%d,%d) although jˆ=0 phases were noisy", nd.cur.I, nd.cur.J)
 		}
 		// Covering well past iˆ+gap is enough; epoch lengths grow
 		// geometrically, so stop before windows get large.
@@ -413,16 +412,5 @@ func TestAdvHelperPersistsAcrossPhases(t *testing.T) {
 	}
 	if i, j := nd.HelperPhase(); i != iHat || j != jHat {
 		t.Fatal("helper phase record changed")
-	}
-}
-
-func TestAdvScheduleAccessor(t *testing.T) {
-	alg, _ := NewMultiCastAdv(Sim())
-	s1, s2 := alg.Schedule(), alg.Schedule()
-	// Independent copies, identical content.
-	for k := 0; k < 20; k++ {
-		if s1.Window(k) != s2.Window(k) {
-			t.Fatal("Schedule() copies disagree")
-		}
 	}
 }

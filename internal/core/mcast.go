@@ -112,8 +112,8 @@ func (nd *mcastNode) startIteration(i int) {
 // current iteration's rate — pᵢ to listen, plus pᵢ to broadcast when
 // informed; see coreNode.drawGap. Gaps truncate at the iteration
 // boundary, where startIteration redraws under the new pᵢ₊₁. The rate's
-// logarithm is hoisted into startIteration: GeometricCappedLn is
-// bit-identical to GeometricCapped for the same rate.
+// logarithm is hoisted into startIteration: GeometricCappedLn
+// draws bit-identically to min(Geometric(p), limit) for the same rate.
 func (nd *mcastNode) drawGap() {
 	lnq := nd.lnq
 	if nd.status == protocol.Informed {
@@ -125,9 +125,6 @@ func (nd *mcastNode) drawGap() {
 func (nd *mcastNode) Status() protocol.Status { return nd.status }
 
 func (nd *mcastNode) Informed() bool { return nd.knowsM }
-
-// Iteration returns the node's current iteration index (test hook).
-func (nd *mcastNode) Iteration() int { return nd.iter }
 
 // Step returns Idle without consuming randomness until the pre-drawn
 // action slot; see coreNode.Step.
@@ -249,12 +246,6 @@ func (a *MultiCastC) ChannelSpan(slot int64) (int, int64) {
 	return a.c, math.MaxInt64
 }
 
-// EffectiveC returns the power-of-two channel count actually used.
-func (a *MultiCastC) EffectiveC() int { return a.c }
-
-// RoundLength returns the number of physical slots per simulated slot.
-func (a *MultiCastC) RoundLength() int64 { return a.subSlots }
-
 // NewNode implements protocol.Algorithm. Per the protocol contract, the
 // node copies *r; the pointer is not retained.
 func (a *MultiCastC) NewNode(id int, source bool, r *rng.Source) protocol.Node {
@@ -332,9 +323,6 @@ func (nd *mcastCNode) drawRoundGap() {
 func (nd *mcastCNode) Status() protocol.Status { return nd.status }
 
 func (nd *mcastCNode) Informed() bool { return nd.knowsM }
-
-// Iteration returns the node's current iteration index (test hook).
-func (nd *mcastCNode) Iteration() int { return nd.iter }
 
 func (nd *mcastCNode) Step(slot int64) protocol.Action {
 	if nd.round != nd.nextRound || nd.status == protocol.Halted {

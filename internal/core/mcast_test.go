@@ -77,15 +77,15 @@ func TestMultiCastNodeStartsAtStartIter(t *testing.T) {
 	p := Sim()
 	alg, _ := NewMultiCast(p, 64)
 	nd := alg.NewNode(0, true, rng.New(1)).(*mcastNode)
-	if nd.Iteration() != p.StartIter {
-		t.Errorf("start iteration = %d, want %d", nd.Iteration(), p.StartIter)
+	if nd.iter != p.StartIter {
+		t.Errorf("start iteration = %d, want %d", nd.iter, p.StartIter)
 	}
 }
 
 func TestMultiCastAdvancesIterationWhenNoisy(t *testing.T) {
 	alg, _ := NewMultiCast(Sim(), 64)
 	nd := alg.NewNode(0, true, rng.New(1)).(*mcastNode)
-	i0 := nd.Iteration()
+	i0 := nd.iter
 	r := alg.IterationLength(i0)
 	for s := int64(0); s < r; s++ {
 		nd.Step(s)
@@ -95,8 +95,8 @@ func TestMultiCastAdvancesIterationWhenNoisy(t *testing.T) {
 	if nd.Status() == protocol.Halted {
 		t.Fatal("halted despite constant noise")
 	}
-	if nd.Iteration() != i0+1 {
-		t.Fatalf("iteration = %d after noisy iteration, want %d", nd.Iteration(), i0+1)
+	if nd.iter != i0+1 {
+		t.Fatalf("iteration = %d after noisy iteration, want %d", nd.iter, i0+1)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestMultiCastListenRateMatchesIteration(t *testing.T) {
 	for target := p.StartIter; target <= p.StartIter+2; target++ {
 		want := alg.ListenProb(target)
 		listens, inIter := 0, 0
-		for nd.Iteration() == target {
+		for nd.iter == target {
 			s := int64(inIter)
 			if nd.Step(s).Kind == protocol.Listen {
 				listens++
@@ -161,13 +161,13 @@ func TestMultiCastCEffectiveC(t *testing.T) {
 			t.Errorf("NewMultiCastC(%d,%d): %v", tc.n, tc.c, err)
 			continue
 		}
-		if alg.EffectiveC() != tc.want {
-			t.Errorf("EffectiveC(n=%d,c=%d) = %d, want %d", tc.n, tc.c, alg.EffectiveC(), tc.want)
+		if alg.c != tc.want {
+			t.Errorf("EffectiveC(n=%d,c=%d) = %d, want %d", tc.n, tc.c, alg.c, tc.want)
 		}
 		if alg.Channels(12345) != tc.want {
 			t.Errorf("Channels ≠ EffectiveC")
 		}
-		if got := alg.RoundLength(); got != int64(tc.n/2/tc.want) {
+		if got := alg.subSlots; got != int64(tc.n/2/tc.want) {
 			t.Errorf("RoundLength(n=%d,C=%d) = %d, want %d", tc.n, tc.want, got, tc.n/2/tc.want)
 		}
 	}
@@ -185,7 +185,7 @@ func TestMultiCastCActsOnlyInOwnSubSlot(t *testing.T) {
 	// channel ch must act exactly in sub-slot ⌊ch/8⌋ on physical ch mod 8.
 	alg, _ := NewMultiCastC(Sim(), 64, 8)
 	nd := alg.NewNode(0, true, rng.New(9)).(*mcastCNode)
-	sub := alg.RoundLength()
+	sub := alg.subSlots
 	actions := 0
 	for s := int64(0); s < 40_000; s++ {
 		a := nd.Step(s)
@@ -214,7 +214,7 @@ func TestMultiCastCActsOnlyInOwnSubSlot(t *testing.T) {
 func TestMultiCastCAtMostOneActionPerRound(t *testing.T) {
 	alg, _ := NewMultiCastC(Sim(), 64, 8)
 	nd := alg.NewNode(0, true, rng.New(11)).(*mcastCNode)
-	sub := alg.RoundLength()
+	sub := alg.subSlots
 	for round := 0; round < 5000; round++ {
 		acts := 0
 		for k := int64(0); k < sub; k++ {
@@ -235,7 +235,7 @@ func TestMultiCastCHaltsWhenQuiet(t *testing.T) {
 	p := Sim()
 	alg, _ := NewMultiCastC(p, 64, 8)
 	nd := alg.NewNode(0, true, rng.New(1))
-	slots := alg.inner.IterationLength(p.StartIter) * alg.RoundLength()
+	slots := alg.inner.IterationLength(p.StartIter) * alg.subSlots
 	for s := int64(0); s < slots; s++ {
 		nd.Step(s)
 		nd.EndSlot(s)
@@ -265,14 +265,14 @@ func TestQuickMultiCastCDivisibility(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		eff := alg.EffectiveC()
+		eff := alg.c
 		if eff < 1 || eff > n/2 {
 			return false
 		}
 		if eff&(eff-1) != 0 {
 			return false
 		}
-		return (n/2)%eff == 0 && alg.RoundLength() == int64(n/2/eff)
+		return (n/2)%eff == 0 && alg.subSlots == int64(n/2/eff)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

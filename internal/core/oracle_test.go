@@ -55,13 +55,14 @@ func runOracle(params Params, n int, seed uint64, maxSlots int64) oracleResult {
 			bcastCount[ch] = 0
 			listeners[ch] = listeners[ch][:0]
 		}
-		// Figure 1 lines 6–14: unconditional ch and coin draws.
+		// Figure 1 lines 6–14: unconditional ch ← rnd(1, channels) and
+		// coin ← rnd(1, coinSides) draws, ch taken 0-based.
 		for id, nd := range nodes {
 			if nd.halted {
 				continue
 			}
-			ch := nd.r.Range(1, channels) - 1
-			coin := nd.r.Range(1, coinSides)
+			ch := nd.r.Intn(channels)
+			coin := 1 + nd.r.Intn(coinSides)
 			if coin == 1 {
 				listeners[ch] = append(listeners[ch], id)
 				nd.energy++

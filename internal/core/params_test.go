@@ -195,8 +195,8 @@ func TestChannelDiv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if algC.RoundLength() != 4 {
-		t.Errorf("MultiCast(C) round length %d, want 4 (n/2 virtual channels)", algC.RoundLength())
+	if algC.subSlots != 4 {
+		t.Errorf("MultiCast(C) round length %d, want 4 (n/2 virtual channels)", algC.subSlots)
 	}
 	p.ChannelDiv = -1
 	if err := p.Validate(); err == nil {

@@ -158,17 +158,6 @@ func (s *AdvSchedule) At(slot int64) StepWindow {
 	return s.windows[k]
 }
 
-// EpochStart returns the first slot of epoch i ≥ 1.
-func (s *AdvSchedule) EpochStart(i int) int64 {
-	var at int64
-	for e := 1; e < i; e++ {
-		for j := 0; j <= s.maxJ(e); j++ {
-			at += 2 * s.StepLen(e, j)
-		}
-	}
-	return at
-}
-
 // ActiveFunc returns a pure slot predicate that reports whether the slot
 // falls in a window matched by match. The returned closure owns a private
 // schedule cursor, so it is independent of other consumers and safe to

@@ -108,7 +108,7 @@ func TestScheduleCutOff(t *testing.T) {
 		t.Fatalf("cut-off schedule never reached j=3 (max %d)", maxJSeen)
 	}
 	// Epochs i ≥ 5 must have exactly 4 phases (j=0..3): windows per epoch = 8.
-	w := s.At(s.EpochStart(6))
+	w := s.At(s.epochStart(6))
 	if w.I != 6 || w.J != 0 || w.Step != 1 {
 		t.Fatalf("EpochStart(6) lands at (%d,%d,step%d)", w.I, w.J, w.Step)
 	}
@@ -166,10 +166,23 @@ func TestScheduleAtNegativePanics(t *testing.T) {
 	NewAdvSchedule(Sim()).At(-1)
 }
 
+// epochStart is the first slot of epoch i ≥ 1 in closed form: both
+// steps of every phase of every earlier epoch.
+func (s *AdvSchedule) epochStart(i int) int64 {
+	var at int64
+	for e := 1; e < i; e++ {
+		for j := 0; j <= s.maxJ(e); j++ {
+			at += 2 * s.StepLen(e, j)
+		}
+	}
+	return at
+}
+
+// The closed form agrees with the windows the schedule lays out.
 func TestScheduleEpochStart(t *testing.T) {
 	s := NewAdvSchedule(Sim())
 	for i := 1; i <= 8; i++ {
-		start := s.EpochStart(i)
+		start := s.epochStart(i)
 		w := s.At(start)
 		if w.I != i || w.J != 0 || w.Step != 1 {
 			t.Errorf("EpochStart(%d) → (%d,%d,step%d)", i, w.I, w.J, w.Step)

@@ -162,6 +162,9 @@ func Run(ctx context.Context, spec Spec, opts Options) (*campaign.Summary, error
 	if opts.Retries < 0 {
 		return nil, fmt.Errorf("driver: retries = %d must not be negative", opts.Retries)
 	}
+	if opts.Workers < 0 {
+		return nil, fmt.Errorf("driver: workers = %d must not be negative", opts.Workers)
+	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("driver: campaign directory required (it is the resume state)")
 	}
@@ -188,8 +191,10 @@ func Run(ctx context.Context, spec Spec, opts Options) (*campaign.Summary, error
 		d.opts.Workers = max(1, runtime.GOMAXPROCS(0)/opts.Shards)
 	}
 	if opts.Cache != nil {
-		d.cache = newCellCache(opts.Cache, spec.Template, grid)
-		d.grid.Cache = d.cache // guarded: a typed-nil adapter must not enable the seam
+		d.keys = make([]func(uint64) string, len(spec.Template.Points))
+		for p, pt := range spec.Template.Points {
+			d.keys[p] = cache.PointKey(pt.Label, pt.Workload)
+		}
 	}
 	if c := d.opts.Chaos; c != nil && c.Begin != nil {
 		c.Begin(opts.Shards)
@@ -240,10 +245,12 @@ func Run(ctx context.Context, spec Spec, opts Options) (*campaign.Summary, error
 
 // drive is the shared state of one Run call.
 type drive struct {
-	spec  Spec
-	opts  Options
-	grid  runner.Grid
-	cache *cellCache // nil unless Options.Cache is set
+	spec Spec
+	opts Options
+	grid runner.Grid
+	// keys derive a cell's cache key from its seed, one function per
+	// point (cache.PointKey); nil unless Options.Cache is set.
+	keys []func(seed uint64) string
 
 	mu sync.Mutex // serializes Progress callbacks
 }
@@ -258,6 +265,19 @@ func (d *drive) emit(ev Event) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.opts.Progress(ev)
+}
+
+// mark renders a cell's Event.Cache annotation. Without a cache it
+// marks nothing, keeping the event stream's schema unchanged for
+// cacheless campaigns.
+func (d *drive) mark(hit bool) string {
+	switch {
+	case d.keys == nil:
+		return ""
+	case hit:
+		return CacheHit
+	}
+	return CacheMiss
 }
 
 // localCells counts the grid cells of shard i — the runner's own slice

@@ -3,6 +3,7 @@ package driver
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +195,46 @@ func TestDriveBoundedRetries(t *testing.T) {
 	}
 	if attempts != 3 {
 		t.Errorf("shard 0 ran %d attempts, want 3", attempts)
+	}
+}
+
+// Run refuses an invalid spec or option before it starts anything: it
+// returns an error, emits no event and writes no shard file.
+func TestDriveRefusesInvalidRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		spec       func(Spec) Spec
+		opts       func(Options) Options
+	}{
+		{"shards", "shards = 0", nil, func(o Options) Options { o.Shards = 0; return o }},
+		{"retries", "retries = -1", nil, func(o Options) Options { o.Retries = -1; return o }},
+		{"workers", "workers = -1", nil, func(o Options) Options { o.Workers = -1; return o }},
+		{"dir", "directory required", nil, func(o Options) Options { o.Dir = ""; return o }},
+		{"trials", "spec trials 3 != template trials 2", func(s Spec) Spec { s.Trials = 3; return s }, nil},
+		{"points", "1 workload points for 2 template points", func(s Spec) Spec { s.Points = s.Points[:1]; return s }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, dir, events := testSpec(2), t.TempDir(), 0
+			opts := Options{Shards: 2, Workers: 1, Dir: dir, Progress: func(Event) { events++ }}
+			if tc.spec != nil {
+				spec = tc.spec(spec)
+			}
+			if tc.opts != nil {
+				opts = tc.opts(opts)
+			}
+			_, err := Run(context.Background(), spec, opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want %q", err, tc.want)
+			}
+			if events != 0 {
+				t.Errorf("%d events emitted before the refusal", events)
+			}
+			for _, d := range []string{dir, "."} {
+				if files, _ := filepath.Glob(filepath.Join(d, "shard-*")); len(files) > 0 {
+					t.Errorf("refused run wrote %v", files)
+				}
+			}
+		})
 	}
 }
 

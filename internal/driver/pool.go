@@ -26,11 +26,12 @@ import (
 //   - every checkpoint covers a prefix of its shard's slice, so a killed
 //     campaign resumes at each shard's next undone cell.
 
-// cellResult is one computed cell in flight from the pool to the fold
-// stage.
+// cellResult is one computed or replayed cell in flight from the pool
+// to the fold stage; hit marks a replay from the cache.
 type cellResult struct {
-	g int
-	m sim.Metrics
+	g   int
+	m   sim.Metrics
+	hit bool
 }
 
 // A worker sends its computed cells to the fold stage in batches: it
@@ -48,6 +49,25 @@ const (
 	batchCells = 64
 	batchAge   = 200 * time.Microsecond
 )
+
+// cell replays grid cell g from the cache, or simulates it on ex and
+// stores the result. A failed store is dropped: the cache is
+// best-effort, and the result is on its way to the fold.
+func (d *drive) cell(interrupt <-chan struct{}, ex *sim.Executor, g int) (cellResult, error) {
+	var key string
+	if d.keys != nil {
+		p, _ := d.grid.Split(g)
+		key = d.keys[p](d.grid.Seed(g))
+		if m, ok := d.opts.Cache.Load(key); ok {
+			return cellResult{g: g, m: m, hit: true}, nil
+		}
+	}
+	m, err := d.grid.RunCell(interrupt, ex, g)
+	if err == nil && d.keys != nil {
+		_ = d.opts.Cache.Put(key, m)
+	}
+	return cellResult{g: g, m: m}, err
+}
 
 // finishShard writes shard s's completed artifact (through the chaos
 // artifact-fault seam), drops its checkpoint, and announces the shard
@@ -195,14 +215,14 @@ func (d *drive) runAttempt(ctx context.Context, attempt int, finished []bool) (s
 				if len(batch) == 0 {
 					begun = time.Now()
 				}
-				m, err := d.grid.RunCell(runCtx.Done(), ex, g)
+				c, err := d.cell(runCtx.Done(), ex, g)
 				if err != nil {
 					if runCtx.Err() == nil {
 						fail(g, err)
 					}
 					return
 				}
-				batch = append(batch, cellResult{g: g, m: m})
+				batch = append(batch, c)
 				if (len(batch) == batchCells || time.Since(begun) >= batchAge) && !send() {
 					return
 				}
@@ -220,9 +240,9 @@ func (d *drive) runAttempt(ctx context.Context, attempt int, finished []bool) (s
 	// seeded chaos schedule plays out the same way on every run.
 	//
 	// pending points into the received batches rather than copying each
-	// cell's Metrics: a map keeps values over 128 bytes out of line, so a
-	// copy would cost a heap allocation per cell.
-	pending := make(map[int]*sim.Metrics, workers*batchCells)
+	// cell: a map keeps values over 128 bytes out of line, so a copy
+	// would cost a heap allocation per cell.
+	pending := make(map[int]*cellResult, workers*batchCells)
 	shardErrs := make([]error, k) // the fold-side failure per shard
 	leave := func(s int, err error) {
 		shardErrs[s] = err
@@ -235,22 +255,22 @@ func (d *drive) runAttempt(ctx context.Context, attempt int, finished []bool) (s
 		if shardErrs[s] != nil {
 			return // the shard already failed; drop its stragglers
 		}
-		pending[r.g] = &r.m
+		pending[r.g] = r
 		ck := cks[s]
 		for {
 			g := s + ck.Done()*k
-			m, ok := pending[g]
+			c, ok := pending[g]
 			if !ok {
 				return
 			}
 			delete(pending, g)
 			p, t := d.grid.Split(g)
-			if err := ck.Add(p, t, *m); err != nil {
+			if err := ck.Add(p, t, c.m); err != nil {
 				leave(s, err)
 				return
 			}
 			d.emit(Event{Shard: s, Kind: EventCell, Done: ck.Done(), Total: locals[s], Attempt: attempt,
-				Cache: d.cache.mark(g)})
+				Cache: d.mark(c.hit)})
 			if chaos != nil && chaos.Cell != nil {
 				if err := chaos.Cell(runCtx, s, attempt, ck.Done()); err != nil {
 					leave(s, err)

@@ -3,10 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"multicast/internal/adversary"
 	"multicast/internal/core"
 	"multicast/internal/protocol"
-	"multicast/internal/rng"
+	"multicast/internal/scenario"
 	"multicast/internal/sim"
 	"multicast/internal/stats"
 )
@@ -23,24 +22,6 @@ func init() {
 		Title: "MultiCastAdv(C): the cut-off keeps unknown-n broadcast viable on C channels",
 		Claim: "Theorem 7.2: runtime dominated by Õ(T/C^{1−2α}), helpers emerge at the cut-off phase j = lg C",
 		Run:   runE7,
-	})
-}
-
-// targetedJammer jams frac of the channels during phases with j == targetJ
-// of the MultiCastAdv schedule — the worst-case oblivious attack the
-// paper's analysis identifies (she knows the algorithm, hence the schedule).
-// jCut < 0 targets the unlimited-channel schedule.
-func targetedJammer(params core.Params, jCut, targetJ int, frac float64) adversary.Factory {
-	name := fmt.Sprintf("target-j=%d(%.2f)", targetJ, frac)
-	return adversary.NewFactory(name, func(r *rng.Source) adversary.Strategy {
-		var sched *core.AdvSchedule
-		if jCut >= 0 {
-			sched = core.NewAdvScheduleC(params, 1<<jCut)
-		} else {
-			sched = core.NewAdvSchedule(params)
-		}
-		pred := sched.ActiveFunc(func(w core.StepWindow) bool { return w.J == targetJ })
-		return adversary.NewWindowed(name, adversary.BlockFraction(frac).New(r), pred)
 	})
 }
 
@@ -68,7 +49,7 @@ func runE5(cfg RunConfig) (Result, error) {
 			Algorithm: func() (protocol.Algorithm, error) {
 				return core.NewMultiCastAdv(params)
 			},
-			Adversary: targetedJammer(params, -1, targetJ, 0.95),
+			Adversary: scenario.PhaseTargeted(params, 0, targetJ, 0.95),
 			Budget:    budget,
 			Seed:      cfg.Seed + uint64(bi)*433,
 			MaxSlots:  1 << 27,

@@ -63,7 +63,7 @@ func runE14(cfg RunConfig) (Result, error) {
 			Seed:      cfg.Seed + uint64(vi)*547,
 			MaxSlots:  1 << 27,
 			Engine:    cfg.Engine,
-		}, runner.Plan{Trials: trials}, func(_ int, m sim.Metrics) error {
+		}, runner.SweepPlan{Trials: trials}, func(_ int, m sim.Metrics) error {
 			for j, c := range m.HelperJCounts {
 				hist[j] += int64(c)
 			}

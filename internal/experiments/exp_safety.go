@@ -6,6 +6,7 @@ import (
 	"multicast/internal/adversary"
 	"multicast/internal/core"
 	"multicast/internal/protocol"
+	"multicast/internal/scenario"
 	"multicast/internal/sim"
 )
 
@@ -76,7 +77,7 @@ func runE11(cfg RunConfig) (Result, error) {
 		{
 			alg:    "MultiCastAdv",
 			build:  func() (protocol.Algorithm, error) { return core.NewMultiCastAdv(params) },
-			adv:    targetedJammer(params, -1, lg2(n)-1, 0.9),
+			adv:    scenario.PhaseTargeted(params, 0, lg2(n)-1, 0.9),
 			budget: 500_000, trials: advTrials, max: 1 << 27,
 		},
 		{

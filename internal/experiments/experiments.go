@@ -128,7 +128,7 @@ type point struct {
 func (rc RunConfig) measure(sc sim.Config, trials int) (point, error) {
 	sc.Engine = rc.Engine
 	col := runner.NewCollector()
-	if err := runner.Run(context.Background(), sc, runner.Plan{Trials: trials}, col.Add); err != nil {
+	if err := runner.Run(context.Background(), sc, runner.SweepPlan{Trials: trials}, col.Add); err != nil {
 		return point{}, err
 	}
 	return point{

@@ -139,13 +139,6 @@ func (r *Reader) unsigned(start int, limit uint64) uint64 {
 	return u
 }
 
-// Float reads any JSON number as the nearest float64, as encoding/json
-// decodes one; a number beyond float64's range is an error.
-func (r *Reader) Float() float64 {
-	f, _, _ := r.float()
-	return f
-}
-
 // ExactFloat reads a float written by AppendFloat, refusing every other
 // spelling of its value: a record read with it re-encodes byte for
 // byte.

@@ -44,18 +44,14 @@ func appendRecord(dst []byte, rec *record) []byte {
 }
 
 // readRecord reads what appendRecord writes, with the string expected
-// to be s; exact reads x with ExactFloat.
-func readRecord(r *Reader, s string, exact bool) (rec record, err error) {
+// to be s.
+func readRecord(r *Reader, s string) (rec record, err error) {
 	r.Expect(`{"n":`)
 	rec.N = r.Int(64)
 	r.Expect(`,"k":`)
 	rec.K = int32(r.Int(32))
 	r.Expect(`,"x":`)
-	if exact {
-		rec.X = r.ExactFloat()
-	} else {
-		rec.X = r.Float()
-	}
+	rec.X = r.ExactFloat()
 	r.Expect(`,"s":`)
 	r.ExpectString(s)
 	rec.S = s
@@ -67,7 +63,7 @@ func readRecord(r *Reader, s string, exact bool) (rec record, err error) {
 			if len(rec.Xs) > 0 {
 				r.Expect(",")
 			}
-			rec.Xs = append(rec.Xs, r.Float())
+			rec.Xs = append(rec.Xs, r.ExactFloat())
 		}
 	}
 	r.Expect("}")
@@ -107,7 +103,7 @@ func TestReaderWhitespace(t *testing.T) {
 				t.Fatalf("%s: AppendCompact: %v\n%s", form.name, err, form.data)
 			}
 			r := NewReader(stripped)
-			got, err := readRecord(&r, want.S, form.name == "compact")
+			got, err := readRecord(&r, want.S)
 			if err != nil {
 				t.Fatalf("%s: %v\n%s", form.name, err, form.data)
 			}
@@ -118,7 +114,7 @@ func TestReaderWhitespace(t *testing.T) {
 				continue
 			}
 			r = NewReader(form.data)
-			if _, err := readRecord(&r, want.S, false); err == nil {
+			if _, err := readRecord(&r, want.S); err == nil {
 				t.Fatalf("compact reader accepted the %s form", form.name)
 			}
 		}
@@ -131,7 +127,7 @@ func TestReaderWhitespace(t *testing.T) {
 			continue
 		}
 		r := NewReader(stripped)
-		if _, err := readRecord(&r, "", false); err == nil {
+		if _, err := readRecord(&r, ""); err == nil {
 			t.Errorf("accepted %s", bad)
 		}
 	}
@@ -183,10 +179,10 @@ func TestReaderInt(t *testing.T) {
 	}
 }
 
-// Float reads any JSON number encoding/json would decode into a
-// float64 — -0 keeps its sign, exponents in every spelling — and
-// nothing outside the JSON grammar or float64's range. ExactFloat
-// reads only AppendFloat's spelling.
+// ExactFloat reads AppendFloat's spelling of a value, and refuses both
+// every other spelling encoding/json would decode into a float64 (-0.0,
+// exponents in other forms) and everything outside the JSON grammar or
+// float64's range.
 func TestReaderFloat(t *testing.T) {
 	for _, c := range []struct {
 		in    string
@@ -226,23 +222,13 @@ func TestReaderFloat(t *testing.T) {
 		{"1_0", false, false},
 		{"", false, false},
 	} {
-		want, perr := strconv.ParseFloat(c.in, 64)
-		r := NewReader([]byte(c.in))
-		got := r.Float()
-		err := r.End()
-		if (err == nil) != c.ok {
-			t.Errorf("Float of %q: %v, want ok=%v", c.in, err, c.ok)
-			continue
-		}
-		if c.ok && (perr != nil || math.Float64bits(got) != math.Float64bits(want)) {
-			t.Errorf("Float of %q = %v, want %v", c.in, got, want)
-		}
 		var dec float64
 		if jerr := json.Unmarshal([]byte(c.in), &dec); (jerr == nil) != c.ok {
-			t.Errorf("Float of %q: ok=%v, encoding/json: %v", c.in, c.ok, jerr)
+			t.Errorf("%q: ok=%v, encoding/json: %v", c.in, c.ok, jerr)
 		}
-		r = NewReader([]byte(c.in))
-		got = r.ExactFloat()
+		want, _ := strconv.ParseFloat(c.in, 64)
+		r := NewReader([]byte(c.in))
+		got := r.ExactFloat()
 		if err := r.End(); (err == nil) != c.exact || (c.exact && math.Float64bits(got) != math.Float64bits(want)) {
 			t.Errorf("ExactFloat of %q = %v, %v; want exact=%v", c.in, got, err, c.exact)
 		}
@@ -262,12 +248,12 @@ func TestReaderTruncation(t *testing.T) {
 			for cut := 0; cut < len(data); cut++ {
 				if stripped, err := AppendCompact(nil, data[:cut]); err == nil {
 					r := NewReader(stripped)
-					if _, err := readRecord(&r, want.S, false); err == nil {
+					if _, err := readRecord(&r, want.S); err == nil {
 						t.Fatalf("prefix of %d bytes of %s read as a record once stripped", cut, data)
 					}
 				}
 				r := NewReader(data[:cut])
-				if _, err := readRecord(&r, want.S, false); err == nil {
+				if _, err := readRecord(&r, want.S); err == nil {
 					t.Fatalf("compact reader: prefix of %d bytes of %s read as a record", cut, data)
 				}
 			}
@@ -285,7 +271,7 @@ func TestReaderErrorsAreSticky(t *testing.T) {
 	}
 	first := r.Err()
 	r.Expect(`,"k":`)
-	if got := r.Int(64); got != 0 || r.Accept("x") || r.Float() != 0 {
+	if got := r.Int(64); got != 0 || r.Accept("x") || r.ExactFloat() != 0 {
 		t.Fatal("a read after an error returned a value")
 	}
 	if err := r.End(); err != first || !strings.Contains(err.Error(), "offset 5") {

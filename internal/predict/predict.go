@@ -168,13 +168,6 @@ func HaltEpoch(params core.Params, n int, margin float64) int {
 	return -1
 }
 
-// AdvSlotsThrough returns the total schedule slots from the start of
-// execution through the end of epoch i (inclusive) for MultiCastAdv.
-func AdvSlotsThrough(params core.Params, i int) int64 {
-	sched := core.NewAdvSchedule(params)
-	return sched.EpochStart(i + 1)
-}
-
 // CoreSlots predicts MultiCastCore's termination time against a
 // full-burst adversary of budget T on n nodes: Eve buys ⌈T/(n/2)⌉ fully
 // jammed slots, nodes halt at the first iteration boundary whose iteration

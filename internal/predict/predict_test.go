@@ -88,13 +88,17 @@ func TestEpidemicSlotsAgainstSimulation(t *testing.T) {
 	params := core.Sim()
 	want := EpidemicSlots(n, params.CoreP, n/2)
 
-	ms, err := runner.All(context.Background(), sim.Config{
+	var ms []sim.Metrics
+	err := runner.Run(context.Background(), sim.Config{
 		N: n,
 		Algorithm: func() (protocol.Algorithm, error) {
 			return core.NewMultiCastCore(params, n, 0)
 		},
 		Seed: 3,
-	}, 10)
+	}, runner.SweepPlan{Trials: 10}, func(_ int, m sim.Metrics) error {
+		ms = append(ms, m)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +192,15 @@ func TestHelperEpochOrdering(t *testing.T) {
 	}
 }
 
+// epochStart is the first slot of epoch i in sched.
+func epochStart(sched *core.AdvSchedule, i int) int64 {
+	k := 0
+	for sched.Window(k).I < i {
+		k++
+	}
+	return sched.Window(k).Start
+}
+
 func TestHelperEpochPredictsSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full MultiCastAdv execution")
@@ -210,14 +223,14 @@ func TestHelperEpochPredictsSimulation(t *testing.T) {
 	// epochs around the expectation crossing).
 	he := HelperEpoch(params, n, 0)
 	sched := core.NewAdvSchedule(params)
-	lo, hi := sched.EpochStart(he-3), sched.EpochStart(he+4)
+	lo, hi := epochStart(sched, he-3), epochStart(sched, he+4)
 	if m.FirstHelperSlot < lo || m.FirstHelperSlot > hi {
 		t.Errorf("first helper at slot %d, prediction epoch %d → window [%d, %d]",
 			m.FirstHelperSlot, he, lo, hi)
 	}
 	// And the whole run must end within a couple of epochs of HaltEpoch.
 	ha := HaltEpoch(params, n, 0)
-	if end := sched.EpochStart(ha + 4); m.Slots > end {
+	if end := epochStart(sched, ha+4); m.Slots > end {
 		t.Errorf("run ended at slot %d, past predicted halt epoch %d (slot %d)", m.Slots, ha, end)
 	}
 }

@@ -139,9 +139,6 @@ func (nw *Network) Channels() int { return nw.channels }
 // completed slot if none is in progress).
 func (nw *Network) Slot() int64 { return nw.slot }
 
-// NodeEnergy returns the total energy spent so far by node id.
-func (nw *Network) NodeEnergy(id int) int64 { return nw.nodeEnergy[id] }
-
 // NodeEnergies returns the per-node energy meter slice (not a copy).
 func (nw *Network) NodeEnergies() []int64 { return nw.nodeEnergy }
 
@@ -209,8 +206,9 @@ func (nw *Network) grow(channels int) {
 // BeginSlot starts slot number slot using the given number of channels and
 // jam mask. jam may be nil (no jamming); otherwise only bits < channels are
 // honoured, and Eve is charged one unit per jammed channel. jamCount must
-// equal jam.CountRange(channels); it is passed in because the engine has
-// already computed it while enforcing Eve's budget.
+// equal the number of jam's set bits below channels; it is passed in
+// because the engine has already computed it while enforcing Eve's
+// budget.
 //
 // Slots must begin in strictly increasing order.
 func (nw *Network) BeginSlot(slot int64, channels int, jam *bitset.Set, jamCount int) {

@@ -136,13 +136,13 @@ func TestEnergyAccounting(t *testing.T) {
 	nw.Listen(1, 3) // a node listening twice is the engine's bug, but metering still counts
 	nw.EndSlot()
 
-	if got := nw.NodeEnergy(0); got != 1 {
+	if got := nw.NodeEnergies()[0]; got != 1 {
 		t.Errorf("broadcaster energy = %d, want 1", got)
 	}
-	if got := nw.NodeEnergy(1); got != 2 {
+	if got := nw.NodeEnergies()[1]; got != 2 {
 		t.Errorf("listener energy = %d, want 2", got)
 	}
-	if got := nw.NodeEnergy(2); got != 0 {
+	if got := nw.NodeEnergies()[2]; got != 0 {
 		t.Errorf("idle node energy = %d, want 0", got)
 	}
 	if got := nw.EveEnergy(); got != 2 {
@@ -153,7 +153,7 @@ func TestEnergyAccounting(t *testing.T) {
 	begin(nw, 1, 4)
 	nw.Broadcast(0, 0, MsgM)
 	nw.EndSlot()
-	if got := nw.NodeEnergy(0); got != 2 {
+	if got := nw.NodeEnergies()[0]; got != 2 {
 		t.Errorf("cumulative energy = %d, want 2", got)
 	}
 }
@@ -165,8 +165,8 @@ func TestIdlingIsFree(t *testing.T) {
 		nw.EndSlot()
 	}
 	for id := 0; id < 2; id++ {
-		if nw.NodeEnergy(id) != 0 {
-			t.Fatalf("idle node %d charged %d", id, nw.NodeEnergy(id))
+		if nw.NodeEnergies()[id] != 0 {
+			t.Fatalf("idle node %d charged %d", id, nw.NodeEnergies()[id])
 		}
 	}
 }
@@ -334,7 +334,7 @@ func TestQuickEnergyConservation(t *testing.T) {
 		}
 		var gotNode int64
 		for id := 0; id < n; id++ {
-			gotNode += nw.NodeEnergy(id)
+			gotNode += nw.NodeEnergies()[id]
 		}
 		return gotNode == wantNode && nw.EveEnergy() == wantEve
 	}

@@ -55,6 +55,15 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
+// geometricCapped is min(Geometric(p), limit) with the logarithm taken
+// per draw: the reference GeometricCappedLn must match draw for draw.
+func geometricCapped(r *Source, p float64, limit int64) int64 {
+	if g := r.Geometric(p); g < limit {
+		return g
+	}
+	return limit
+}
+
 func TestGeometricCapped(t *testing.T) {
 	r := New(31)
 	// The cap must bind exactly with the tail probability (1−p)^limit:
@@ -66,9 +75,9 @@ func TestGeometricCapped(t *testing.T) {
 	)
 	capped := 0
 	for i := 0; i < draws; i++ {
-		g := r.GeometricCapped(p, limit)
+		g := r.GeometricCappedLn(math.Log1p(-p), limit)
 		if g < 0 || g > limit {
-			t.Fatalf("GeometricCapped(%v, %d) = %d out of [0, %d]", p, limit, g, limit)
+			t.Fatalf("GeometricCappedLn(ln(1−%v), %d) = %d out of [0, %d]", p, limit, g, limit)
 		}
 		if g == limit {
 			capped++
@@ -81,10 +90,10 @@ func TestGeometricCapped(t *testing.T) {
 	}
 	// Stream discipline: capped and uncapped draws consume one uniform.
 	a, b := New(33), New(33)
-	a.GeometricCapped(0.25, 1)
+	a.GeometricCappedLn(math.Log1p(-0.25), 1)
 	b.Geometric(0.25)
 	if a.Uint64() != b.Uint64() {
-		t.Fatal("GeometricCapped consumes a different number of draws than Geometric")
+		t.Fatal("GeometricCappedLn consumes a different number of draws than Geometric")
 	}
 }
 
@@ -116,9 +125,9 @@ func TestGeometricLnMatchesGeometric(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p := ps[i%len(ps)]
 		limit := int64(1 + i%7)
-		ga, gb := a.GeometricCapped(p, limit), b.GeometricCappedLn(math.Log1p(-p), limit)
+		ga, gb := geometricCapped(a, p, limit), b.GeometricCappedLn(math.Log1p(-p), limit)
 		if ga != gb {
-			t.Fatalf("draw %d: GeometricCapped(%v,%d) = %d, Ln variant = %d", i, p, limit, ga, gb)
+			t.Fatalf("draw %d: min(Geometric(%v), %d) = %d, GeometricCappedLn = %d", i, p, limit, ga, gb)
 		}
 	}
 }

@@ -99,15 +99,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Range returns a uniform int in [lo, hi], mirroring the paper's
-// rnd(x, y) helper (inclusive bounds). It panics if hi < lo.
-func (r *Source) Range(lo, hi int) int {
-	if hi < lo {
-		panic("rng: Range called with hi < lo")
-	}
-	return lo + int(r.Uint64n(uint64(hi-lo+1)))
-}
-
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -155,18 +146,6 @@ func (r *Source) Geometric(p float64) int64 {
 	return int64(g)
 }
 
-// GeometricCapped returns min(Geometric(p), limit). The capped draw is
-// how the slot engines truncate a gap at a window boundary: the result
-// equals limit with probability P(G ≥ limit) = (1−p)^limit — exactly the
-// probability that no action occurs in the limit remaining slots — so
-// "gap == limit" doubles as the no-action-before-the-boundary sentinel.
-func (r *Source) GeometricCapped(p float64, limit int64) int64 {
-	if g := r.Geometric(p); g < limit {
-		return g
-	}
-	return limit
-}
-
 // GeometricLn is Geometric with the denominator precomputed: lnQ must be
 // math.Log1p(-p) for the success probability p. The division by lnQ uses
 // the same expression tree as Geometric, so for equal p the two functions
@@ -189,33 +168,17 @@ func (r *Source) GeometricLn(lnQ float64) int64 {
 	return int64(g)
 }
 
-// GeometricCappedLn is GeometricCapped with the denominator precomputed,
-// under the same lnQ contract as GeometricLn.
+// GeometricCappedLn returns min(GeometricLn(lnQ), limit), under
+// GeometricLn's lnQ contract. The capped draw is how the slot engines
+// truncate a gap at a window boundary: the result equals limit with
+// probability P(G ≥ limit) = (1−p)^limit — exactly the probability that
+// no action occurs in the limit remaining slots — so "gap == limit"
+// doubles as the no-action-before-the-boundary sentinel.
 func (r *Source) GeometricCappedLn(lnQ float64, limit int64) int64 {
 	if g := r.GeometricLn(lnQ); g < limit {
 		return g
 	}
 	return limit
-}
-
-// Coin returns a uniform value in [1, sides], mirroring the pseudocode's
-// coin ← rnd(1, k) draws. It panics if sides <= 0.
-func (r *Source) Coin(sides int) int {
-	if sides <= 0 {
-		panic("rng: Coin called with sides <= 0")
-	}
-	return 1 + r.Intn(sides)
-}
-
-// Perm fills dst with a uniform random permutation of [0, len(dst)).
-func (r *Source) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
 }
 
 // Fork returns a new Source whose stream is a deterministic function of

@@ -92,59 +92,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	}
 }
 
-func TestRangeInclusive(t *testing.T) {
-	r := New(9)
-	seen := map[int]bool{}
-	for i := 0; i < 10000; i++ {
-		v := r.Range(3, 6)
-		if v < 3 || v > 6 {
-			t.Fatalf("Range(3,6) = %d out of bounds", v)
-		}
-		seen[v] = true
-	}
-	for v := 3; v <= 6; v++ {
-		if !seen[v] {
-			t.Errorf("Range(3,6) never produced %d in 10k draws", v)
-		}
-	}
-}
-
-func TestRangeSingleton(t *testing.T) {
-	r := New(9)
-	for i := 0; i < 100; i++ {
-		if v := r.Range(5, 5); v != 5 {
-			t.Fatalf("Range(5,5) = %d", v)
-		}
-	}
-}
-
-func TestRangePanicsOnInverted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Range(2,1) did not panic")
-		}
-	}()
-	New(1).Range(2, 1)
-}
-
-func TestCoinMatchesPseudocodeConvention(t *testing.T) {
-	r := New(3)
-	counts := make([]int, 65)
-	for i := 0; i < 64_000; i++ {
-		c := r.Coin(64)
-		if c < 1 || c > 64 {
-			t.Fatalf("Coin(64) = %d out of [1,64]", c)
-		}
-		counts[c]++
-	}
-	// Each face has expectation 1000; allow generous slack.
-	for face := 1; face <= 64; face++ {
-		if counts[face] < 700 || counts[face] > 1300 {
-			t.Errorf("Coin(64) face %d count %d far from 1000", face, counts[face])
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(11)
 	var sum float64
@@ -192,21 +139,6 @@ func TestBernoulliRate(t *testing.T) {
 		got := float64(hits) / draws
 		if math.Abs(got-p) > 0.01 {
 			t.Errorf("Bernoulli(%v) rate = %v", p, got)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(23)
-	dst := make([]int, 100)
-	for trial := 0; trial < 50; trial++ {
-		r.Perm(dst)
-		seen := make([]bool, len(dst))
-		for _, v := range dst {
-			if v < 0 || v >= len(dst) || seen[v] {
-				t.Fatalf("Perm produced invalid permutation: %v", dst)
-			}
-			seen[v] = true
 		}
 	}
 }
@@ -290,24 +222,6 @@ func TestQuickDeterminism(t *testing.T) {
 	}
 }
 
-// Property: Range(lo, hi) stays within [lo, hi].
-func TestQuickRangeBounds(t *testing.T) {
-	f := func(seed uint64, lo int16, span uint8) bool {
-		l, h := int(lo), int(lo)+int(span)
-		r := New(seed)
-		for i := 0; i < 20; i++ {
-			v := r.Range(l, h)
-			if v < l || v > h {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64
@@ -322,15 +236,6 @@ func BenchmarkUint64n(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink = r.Uint64n(12345)
-	}
-	_ = sink
-}
-
-func BenchmarkCoin64(b *testing.B) {
-	r := New(1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink = r.Coin(64)
 	}
 	_ = sink
 }

@@ -19,27 +19,6 @@ type Grid struct {
 	Points []sim.Config
 	// Trials is the trial count per point.
 	Trials int
-	// Cache, when non-nil, is consulted before a cell simulates and
-	// fed after it does — the content-addressed result cache seam. A
-	// hit must return exactly the metrics the simulation would have
-	// produced (the cache layer's checksum discipline guarantees a
-	// damaged entry reads as a miss instead), so a cached cell is
-	// indistinguishable from a computed one to every layer above.
-	Cache CellCache
-}
-
-// CellCache is the lookup/store seam Grid.RunCell threads cell results
-// through, keyed by global grid index. Implementations (see
-// internal/driver) map the index to a content address derived from the
-// cell's identity. Load and Store are called concurrently from worker
-// goroutines.
-type CellCache interface {
-	// Load returns the cached metrics of cell idx, or ok == false to
-	// make the cell simulate. It must never return damaged data.
-	Load(idx int) (m sim.Metrics, ok bool)
-	// Store records cell idx's freshly computed metrics, best-effort:
-	// a failed store may only cost a future re-simulation.
-	Store(idx int, m sim.Metrics)
 }
 
 // NewGrid validates the grid shape: at least one point, a positive
@@ -89,23 +68,11 @@ func (g Grid) RunCell(interrupt <-chan struct{}, ex *sim.Executor, idx int) (sim
 
 // run executes one cell and returns the engine's error untouched — the
 // shared core of RunCell and RunSweep, which wrap failures in their own
-// vocabularies. With a Cache attached, a hit short-circuits the
-// simulation entirely and a computed result is stored back; cells are
-// pure functions of their identity, so either path yields the same
-// metrics.
+// vocabularies.
 func (g Grid) run(interrupt <-chan struct{}, ex *sim.Executor, idx int) (sim.Metrics, error) {
-	if g.Cache != nil {
-		if m, ok := g.Cache.Load(idx); ok {
-			return m, nil
-		}
-	}
 	p, t := g.Split(idx)
 	c := g.Points[p]
 	c.Interrupt = interrupt
 	c.Seed += uint64(t)
-	m, err := ex.Run(c)
-	if err == nil && g.Cache != nil {
-		g.Cache.Store(idx, m)
-	}
-	return m, err
+	return ex.Run(c)
 }

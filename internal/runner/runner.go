@@ -24,9 +24,8 @@
 // single global index space (g = point·Trials + trial, cell seed =
 // point's Seed + trial) and sharded across machines by g mod k, so a
 // sweep sharded k ways and merged per point is bit-identical to the
-// unsharded sweep. Both entry points share one worker-pool core
-// (runGrid), so in-order delivery, cancellation, and first-error
-// semantics are identical.
+// unsharded sweep. Run is the sweep of one point, so in-order delivery,
+// cancellation, and first-error semantics are identical.
 package runner
 
 import (
@@ -71,18 +70,6 @@ func (s Shard) Cells(total int) int {
 	return (total - n.Index + n.Count - 1) / n.Count
 }
 
-// Plan describes one batch of trials.
-type Plan struct {
-	// Trials is the total number of trials across all shards. Seeds are
-	// cfg.Seed + t for t ∈ [0, Trials).
-	Trials int
-	// Shard selects this machine's slice: trials t ≡ Shard.Index
-	// (mod Shard.Count). The zero value runs everything.
-	Shard Shard
-	// Workers caps the worker pool; 0 means GOMAXPROCS.
-	Workers int
-}
-
 // Sink consumes one trial's metrics. It is called from a single
 // goroutine in ascending trial order; returning an error aborts the
 // batch like a trial failure.
@@ -95,59 +82,57 @@ type result struct {
 }
 
 // Run executes plan's share of the trial batch of cfg and streams each
-// trial's Metrics to sink in ascending trial order. It returns the first
-// error in trial order (trial failure or sink error), or ctx.Err() if
-// the context is cancelled first; either way queued trials are not
-// started and in-flight executions are interrupted.
-func Run(ctx context.Context, cfg sim.Config, plan Plan, sink Sink) error {
-	if plan.Trials <= 0 {
-		return fmt.Errorf("runner: trials = %d must be positive", plan.Trials)
-	}
-	return runGrid(ctx, plan.Trials, plan.Shard, plan.Workers,
-		func(done <-chan struct{}, exec *sim.Executor, t int) result {
-			c := cfg
-			c.Interrupt = done
-			c.Seed = cfg.Seed + uint64(t)
-			m, err := exec.Run(c)
-			return result{m: m, err: err}
-		},
-		func(t int, r result) error {
-			if r.err != nil {
-				// An interrupt caused by the surrounding cancellation is
-				// the context's error, not the trial's.
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("runner: trial %d (seed %d): %w", t, cfg.Seed+uint64(t), r.err)
-			}
-			return sink(t, r.m)
-		})
+// trial's Metrics to sink in ascending trial order: it is RunSweep over
+// the one point cfg, so trial t is cell (0, t) and runs with seed
+// cfg.Seed + t. It returns the first error in trial order (trial
+// failure or sink error), or ctx.Err() if the context is cancelled
+// first; either way queued trials are not started and in-flight
+// executions are interrupted.
+func Run(ctx context.Context, cfg sim.Config, plan SweepPlan, sink Sink) error {
+	return RunSweep(ctx, []sim.Config{cfg}, plan, func(_, t int, m sim.Metrics) error {
+		return sink(t, m)
+	})
 }
 
-// runGrid is the shared execution core of Run and RunSweep: it walks the
-// global index space [0, total), restricted to this shard's slice
-// (idx ≡ shard.Index mod shard.Count), fans indices out over a worker
-// pool, and hands each result to deliver in ascending index order. exec
-// receives the cancellation channel to wire into sim.Config.Interrupt
-// and a worker-local sim.Executor — each pool worker recycles one
-// execution context across all the cells it runs, so a long campaign's
-// steady-state trials reuse the engine's buffers instead of
-// reallocating them (results are bit-identical either way).
-// deliver owns error translation and the sink call, and its first error
-// (in index order) cancels all outstanding work.
-func runGrid(ctx context.Context, total int, reqShard Shard, reqWorkers int,
-	exec func(done <-chan struct{}, ex *sim.Executor, idx int) result,
-	deliver func(idx int, r result) error) error {
-	shard, err := reqShard.normalize()
+// runGrid is the execution core of RunSweep: it walks the grid's
+// global index space, restricted to this shard's slice
+// (idx ≡ shard.Index mod shard.Count), fans cells out over a worker
+// pool, and hands each result to sink in ascending index order, its
+// first error (a cell's or the sink's, in index order) cancelling all
+// outstanding work. Each pool worker recycles one sim.Executor across
+// all the cells it runs, so a long campaign's steady-state trials reuse
+// the engine's buffers instead of reallocating them (results are
+// bit-identical either way).
+func runGrid(ctx context.Context, grid Grid, plan SweepPlan, sink SweepSink) error {
+	shard, err := plan.Shard.normalize()
 	if err != nil {
 		return err
 	}
+	total := grid.Total()
 	local := shard.Cells(total)
 	if local == 0 {
 		return ctx.Err()
 	}
 	start := shard.Index
-	workers := reqWorkers
+	// deliver hands cell idx's result to sink, naming a failed cell.
+	deliver := func(idx int, r result) error {
+		p, t := grid.Split(idx)
+		if r.err != nil {
+			// An interrupt caused by the surrounding cancellation is the
+			// context's error, not the cell's.
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			return fmt.Errorf("runner: sweep point %d trial %d (seed %d): %w",
+				p, t, grid.Seed(idx), r.err)
+		}
+		return sink(p, t, r.m)
+	}
+	exec := func(done <-chan struct{}, ex *sim.Executor, idx int) result {
+		m, err := grid.run(done, ex, idx)
+		return result{m: m, err: err}
+	}
+	workers := plan.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -242,19 +227,4 @@ func runGrid(ctx context.Context, total int, reqShard Shard, reqWorkers int,
 		firstErr = ctx.Err()
 	}
 	return firstErr
-}
-
-// All runs the whole batch unsharded and buffers every trial's metrics
-// in trial order — the compatibility shape of the old sim.RunTrials.
-// Prefer Run with a streaming sink for large batches.
-func All(ctx context.Context, cfg sim.Config, trials int) ([]sim.Metrics, error) {
-	ms := make([]sim.Metrics, 0, max(trials, 0))
-	err := Run(ctx, cfg, Plan{Trials: trials}, func(_ int, m sim.Metrics) error {
-		ms = append(ms, m)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ms, nil
 }

@@ -50,7 +50,7 @@ func TestRunMatchesSerialInOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 5} {
 		var got []sim.Metrics
 		var order []int
-		err := Run(context.Background(), cfg, Plan{Trials: trials, Workers: workers},
+		err := Run(context.Background(), cfg, SweepPlan{Trials: trials, Workers: workers},
 			func(trial int, m sim.Metrics) error {
 				order = append(order, trial)
 				got = append(got, m)
@@ -76,11 +76,11 @@ func TestRunMatchesSerialInOrder(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	cfg := sim.Config{N: 64, Algorithm: mcCore(64, 0)}
 	nop := func(int, sim.Metrics) error { return nil }
-	if err := Run(context.Background(), cfg, Plan{Trials: 0}, nop); err == nil {
+	if err := Run(context.Background(), cfg, SweepPlan{Trials: 0}, nop); err == nil {
 		t.Error("accepted zero trials")
 	}
 	for _, s := range []Shard{{Index: -1, Count: 2}, {Index: 2, Count: 2}, {Index: 0, Count: -1}} {
-		if err := Run(context.Background(), cfg, Plan{Trials: 4, Shard: s}, nop); err == nil {
+		if err := Run(context.Background(), cfg, SweepPlan{Trials: 4, Shard: s}, nop); err == nil {
 			t.Errorf("accepted shard %+v", s)
 		}
 	}
@@ -88,7 +88,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunEmptyShard(t *testing.T) {
 	called := false
-	err := Run(context.Background(), baseCfg(), Plan{Trials: 2, Shard: Shard{Index: 5, Count: 7}},
+	err := Run(context.Background(), baseCfg(), SweepPlan{Trials: 2, Shard: Shard{Index: 5, Count: 7}},
 		func(int, sim.Metrics) error { called = true; return nil })
 	if err != nil || called {
 		t.Fatalf("empty shard: err=%v called=%v", err, called)
@@ -104,7 +104,7 @@ func TestShardMergeBitIdentical(t *testing.T) {
 	cfg := baseCfg()
 	const trials = 21
 	whole := NewCollector()
-	if err := Run(context.Background(), cfg, Plan{Trials: trials, Workers: 3}, whole.Add); err != nil {
+	if err := Run(context.Background(), cfg, SweepPlan{Trials: trials, Workers: 3}, whole.Add); err != nil {
 		t.Fatal(err)
 	}
 	type summaries struct {
@@ -119,7 +119,7 @@ func TestShardMergeBitIdentical(t *testing.T) {
 		for i := 0; i < k; i++ {
 			shard := NewCollector()
 			err := Run(context.Background(), cfg,
-				Plan{Trials: trials, Shard: Shard{Index: i, Count: k}, Workers: i%3 + 1},
+				SweepPlan{Trials: trials, Shard: Shard{Index: i, Count: k}, Workers: i%3 + 1},
 				shard.Add)
 			if err != nil {
 				t.Fatalf("k=%d shard %d: %v", k, i, err)
@@ -169,7 +169,7 @@ func TestFirstErrorAbortsWithoutDraining(t *testing.T) {
 		Seed: 1, MaxSlots: 2000,
 	}
 	var delivered int
-	err := Run(context.Background(), cfg, Plan{Trials: trials, Workers: 4},
+	err := Run(context.Background(), cfg, SweepPlan{Trials: trials, Workers: 4},
 		func(int, sim.Metrics) error { delivered++; return nil })
 	if !errors.Is(err, sim.ErrMaxSlots) {
 		t.Fatalf("err = %v, want ErrMaxSlots", err)
@@ -197,7 +197,7 @@ func TestSinkErrorAborts(t *testing.T) {
 	}
 	sinkErr := errors.New("sink full")
 	var delivered []int
-	err := Run(context.Background(), cfg, Plan{Trials: trials, Workers: 4},
+	err := Run(context.Background(), cfg, SweepPlan{Trials: trials, Workers: 4},
 		func(trial int, _ sim.Metrics) error {
 			if trial == 8 {
 				return sinkErr
@@ -230,7 +230,7 @@ func TestContextCancelInterruptsInFlight(t *testing.T) {
 		cancel()
 	}()
 	startedAt := time.Now()
-	err := Run(ctx, cfg, Plan{Trials: 100, Workers: 2},
+	err := Run(ctx, cfg, SweepPlan{Trials: 100, Workers: 2},
 		func(int, sim.Metrics) error { return nil })
 	elapsed := time.Since(startedAt)
 	if !errors.Is(err, context.Canceled) {
@@ -240,26 +240,6 @@ func TestContextCancelInterruptsInFlight(t *testing.T) {
 	// would grind through 2²⁷ jammed slots (tens of seconds).
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v — in-flight trials were not interrupted", elapsed)
-	}
-}
-
-func TestAllCompat(t *testing.T) {
-	cfg := baseCfg()
-	ms, err := All(context.Background(), cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 4 {
-		t.Fatalf("got %d metrics", len(ms))
-	}
-	c := cfg
-	c.Seed = cfg.Seed + 3
-	want, err := sim.Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms[3] != want {
-		t.Fatalf("All()[3] = %+v, want %+v", ms[3], want)
 	}
 }
 
@@ -315,7 +295,8 @@ func BenchmarkRunTrialsParallel(b *testing.B) {
 		Seed:      1,
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := All(context.Background(), cfg, 16); err != nil {
+		err := Run(context.Background(), cfg, SweepPlan{Trials: 16}, func(int, sim.Metrics) error { return nil })
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"context"
-	"fmt"
 
 	"multicast/internal/sim"
 )
@@ -49,20 +48,5 @@ func RunSweep(ctx context.Context, points []sim.Config, plan SweepPlan, sink Swe
 	if err != nil {
 		return err
 	}
-	return runGrid(ctx, grid.Total(), plan.Shard, plan.Workers,
-		func(done <-chan struct{}, exec *sim.Executor, g int) result {
-			m, err := grid.run(done, exec, g)
-			return result{m: m, err: err}
-		},
-		func(g int, r result) error {
-			p, t := grid.Split(g)
-			if r.err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("runner: sweep point %d trial %d (seed %d): %w",
-					p, t, grid.Seed(g), r.err)
-			}
-			return sink(p, t, r.m)
-		})
+	return runGrid(ctx, grid, plan, sink)
 }

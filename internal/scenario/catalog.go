@@ -5,6 +5,7 @@ import (
 
 	"multicast/internal/adversary"
 	"multicast/internal/core"
+	"multicast/internal/rng"
 )
 
 // The built-in catalog. Every scenario here must be described in
@@ -22,6 +23,26 @@ func resolve(opts Options, defN int, defBudget int64) (n int, budget int64) {
 		budget = opts.Budget
 	}
 	return n, budget
+}
+
+// PhaseTargeted jams fraction f of the channels only during
+// MultiCastAdv phases with phase number targetJ — the paper's worst-case
+// oblivious attack: concentrate the budget on the "good" phases
+// j = lg n − 1 where epidemic broadcast could succeed. params must match
+// the algorithm's; channelsC ≤ 0 targets the unlimited-channel schedule,
+// otherwise the MultiCastAdv(C) schedule for that C.
+func PhaseTargeted(params core.Params, channelsC, targetJ int, f float64) adversary.Factory {
+	name := fmt.Sprintf("phase-targeted(j=%d,f=%.2f)", targetJ, f)
+	return adversary.NewFactory(name, func(r *rng.Source) adversary.Strategy {
+		var sched *core.AdvSchedule
+		if channelsC > 0 {
+			sched = core.NewAdvScheduleC(params, channelsC)
+		} else {
+			sched = core.NewAdvSchedule(params)
+		}
+		pred := sched.ActiveFunc(func(w core.StepWindow) bool { return w.J == targetJ })
+		return adversary.NewWindowed(name, adversary.BlockFraction(f).New(r), pred)
+	})
 }
 
 func init() {

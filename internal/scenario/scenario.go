@@ -96,13 +96,3 @@ func Get(name string) (Scenario, bool) {
 	s, ok := registry[strings.ToLower(name)]
 	return s, ok
 }
-
-// Names returns every registered scenario name in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -115,16 +114,6 @@ func TestGetCaseInsensitive(t *testing.T) {
 	}
 	if _, ok := Get("no-such-scenario"); ok {
 		t.Error("Get found a scenario that does not exist")
-	}
-}
-
-func TestNamesMatchAll(t *testing.T) {
-	var fromAll []string
-	for _, s := range All() {
-		fromAll = append(fromAll, s.Name)
-	}
-	if !reflect.DeepEqual(fromAll, Names()) {
-		t.Errorf("Names() %v != All() names %v", Names(), fromAll)
 	}
 }
 

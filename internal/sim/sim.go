@@ -579,8 +579,8 @@ func (ex *execution) stepSlot(slot int64, ids []int, maintainActive bool) {
 // Jammed where she jammed, otherwise Quiet, Delivered or Collided by the
 // channel's broadcaster count. It builds the slice from the slot's
 // broadcasts (ex.sent) and the jam mask's jamCount set bits (jamCount
-// equals jam.CountRange(channels), as BeginSlot requires), so it asks
-// the network nothing per channel.
+// counts the mask's bits below channels, as BeginSlot requires), so it
+// asks the network nothing per channel.
 func (ex *execution) observe(slot int64, channels int, jam *bitset.Set, jamCount int) {
 	if cap(ex.activity) < channels {
 		ex.activity = make([]adversary.Activity, channels)

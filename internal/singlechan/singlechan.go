@@ -114,9 +114,6 @@ func (a *Broadcast) ChannelSpan(slot int64) (int, int64) {
 	return 1, math.MaxInt64
 }
 
-// StartEpoch returns i₀.
-func (a *Broadcast) StartEpoch() int { return a.start }
-
 // EpochLength returns Lᵢ.
 func (a *Broadcast) EpochLength(i int) int64 {
 	if i > maxEpoch {
@@ -208,8 +205,8 @@ func (nd *node) startEpoch(i int) {
 // status cannot change before the action slot (Deliver requires
 // listening), so the rate is a gap invariant; gaps truncate at the epoch
 // boundary, where startEpoch redraws under the next epoch's rates. Both
-// rates' logarithms are hoisted into startEpoch: GeometricCappedLn is
-// bit-identical to GeometricCapped for the same rate.
+// rates' logarithms are hoisted into startEpoch: GeometricCappedLn
+// draws bit-identically to min(Geometric(p), limit) for the same rate.
 func (nd *node) drawGap() {
 	lnq := nd.lnl
 	if nd.status == protocol.Informed {
@@ -221,9 +218,6 @@ func (nd *node) drawGap() {
 func (nd *node) Status() protocol.Status { return nd.status }
 
 func (nd *node) Informed() bool { return nd.knowsM }
-
-// Epoch returns the node's current epoch index (test hook).
-func (nd *node) Epoch() int { return nd.epoch }
 
 // Step returns Idle without consuming randomness until the pre-drawn
 // action slot, where informed nodes split listen/broadcast as lᵢ : bᵢ.

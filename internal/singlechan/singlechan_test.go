@@ -20,8 +20,8 @@ func TestConstructor(t *testing.T) {
 	if alg.Channels(0) != 1 || alg.Channels(1<<40) != 1 {
 		t.Error("baseline must use exactly one channel")
 	}
-	if alg.StartEpoch() != 4 { // ⌈lg₄ 256⌉ = ⌈8/2⌉
-		t.Errorf("StartEpoch = %d, want 4", alg.StartEpoch())
+	if alg.start != 4 { // ⌈lg₄ 256⌉ = ⌈8/2⌉
+		t.Errorf("StartEpoch = %d, want 4", alg.start)
 	}
 }
 
@@ -40,14 +40,14 @@ func TestConstructorErrors(t *testing.T) {
 func TestEpochGeometry(t *testing.T) {
 	alg, _ := New(DefaultParams(), 256)
 	// Lᵢ = ⌈A·4ⁱ·lg n⌉ quadruples per epoch.
-	for i := alg.StartEpoch(); i < alg.StartEpoch()+6; i++ {
+	for i := alg.start; i < alg.start+6; i++ {
 		ratio := float64(alg.EpochLength(i+1)) / float64(alg.EpochLength(i))
 		if math.Abs(ratio-4) > 0.01 {
 			t.Errorf("L_%d/L_%d = %v, want 4", i+1, i, ratio)
 		}
 	}
 	// First epoch is Ω(n): L_{i₀} = 4^{⌈lg₄ n⌉}·lg n ≥ n·lg n / 4.
-	if got := alg.EpochLength(alg.StartEpoch()); got < 256*8/4 {
+	if got := alg.EpochLength(alg.start); got < 256*8/4 {
 		t.Errorf("first epoch length %d too small", got)
 	}
 }
@@ -64,7 +64,7 @@ func TestEpochCap(t *testing.T) {
 
 func TestListenProbShape(t *testing.T) {
 	alg, _ := New(DefaultParams(), 256)
-	i0 := alg.StartEpoch()
+	i0 := alg.start
 	// lᵢ = √(lg n/(n·Lᵢ)) halves per epoch (Lᵢ quadruples).
 	for i := i0; i < i0+5; i++ {
 		r := alg.ListenProb(i) / alg.ListenProb(i+1)
@@ -118,7 +118,7 @@ func TestAllActionsOnChannelZero(t *testing.T) {
 func TestHaltsWhenQuiet(t *testing.T) {
 	alg, _ := New(DefaultParams(), 64)
 	nd := alg.NewNode(0, true, rng.New(5))
-	l := alg.EpochLength(alg.StartEpoch())
+	l := alg.EpochLength(alg.start)
 	for s := int64(0); s < l && nd.Status() != protocol.Halted; s++ {
 		nd.Step(s)
 		nd.EndSlot(s)
@@ -131,7 +131,7 @@ func TestHaltsWhenQuiet(t *testing.T) {
 func TestAdvancesEpochWhenNoisy(t *testing.T) {
 	alg, _ := New(DefaultParams(), 64)
 	nd := alg.NewNode(0, true, rng.New(6)).(*node)
-	i0 := nd.Epoch()
+	i0 := nd.epoch
 	l := alg.EpochLength(i0)
 	for s := int64(0); s < l; s++ {
 		nd.Step(s)
@@ -141,8 +141,8 @@ func TestAdvancesEpochWhenNoisy(t *testing.T) {
 	if nd.Status() == protocol.Halted {
 		t.Fatal("halted despite constant noise")
 	}
-	if nd.Epoch() != i0+1 {
-		t.Fatalf("epoch = %d, want %d", nd.Epoch(), i0+1)
+	if nd.epoch != i0+1 {
+		t.Fatalf("epoch = %d, want %d", nd.epoch, i0+1)
 	}
 }
 

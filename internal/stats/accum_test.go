@@ -18,7 +18,7 @@ func accumOf(xs ...float64) *Accumulator {
 func TestAccumulatorMatchesSummarize(t *testing.T) {
 	xs := []float64{4, 1, 3, 3, 9, 0.5, -2, 7}
 	got := accumOf(xs...).Summary()
-	want := Summarize(xs)
+	want := summarize(xs)
 	if got != want {
 		t.Fatalf("accumulator summary %+v != Summarize %+v", got, want)
 	}

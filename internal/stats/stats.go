@@ -28,28 +28,6 @@ type Summary struct {
 	Median, P25, P75, P95 float64
 }
 
-// Summarize computes a Summary of xs. Empty input yields the zero
-// Summary (Count 0) rather than a panic, and non-finite samples (NaN,
-// ±Inf) are excluded from every moment and tallied in Dropped — the
-// error path is the Count/Dropped pair, which callers can inspect.
-// The result is a pure function of the finite-sample multiset.
-func Summarize(xs []float64) Summary {
-	a := NewAccumulatorCap(max(len(xs), 1))
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return a.Summary()
-}
-
-// SummarizeInts converts and summarizes integer samples.
-func SummarizeInts(xs []int64) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of sorted (ascending) data
 // using linear interpolation. Empty input returns 0 (the documented zero
 // path — callers that must distinguish "no data" check len first).
@@ -130,20 +108,4 @@ func LogLogSlope(xs, ys []float64) Fit {
 		}
 	}
 	return LinearFit(lx, ly)
-}
-
-// GeoMean returns the geometric mean of positive samples; it panics if the
-// slice is empty or any sample is non-positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: GeoMean of empty slice")
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean of non-positive sample")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

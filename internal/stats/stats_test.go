@@ -8,8 +8,20 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// summarize computes a Summary of xs through an accumulator that keeps
+// every sample. Empty input yields the zero Summary (Count 0) rather
+// than a panic, and non-finite samples (NaN, ±Inf) are excluded from
+// every moment and tallied in Dropped.
+func summarize(xs []float64) Summary {
+	a := NewAccumulatorCap(max(len(xs), 1))
+	for _, x := range xs {
+		a.Add(x)
+	}
+	return a.Summary()
+}
+
 func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
+	s := summarize([]float64{1, 2, 3, 4, 5})
 	if s.Count != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
 		t.Fatalf("summary %+v wrong", s)
 	}
@@ -19,7 +31,7 @@ func TestSummarizeBasics(t *testing.T) {
 }
 
 func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{7})
+	s := summarize([]float64{7})
 	if s.Count != 1 || s.Mean != 7 || s.Std != 0 || s.Median != 7 || s.P95 != 7 {
 		t.Fatalf("singleton summary %+v wrong", s)
 	}
@@ -44,7 +56,7 @@ func TestSummarizeEdgeCases(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		got := Summarize(tc.in)
+		got := summarize(tc.in)
 		if got.Count != tc.want.Count || got.Dropped != tc.want.Dropped ||
 			!almost(got.Mean, tc.want.Mean, 1e-12) || !almost(got.Std, tc.want.Std, 1e-12) ||
 			got.Min != tc.want.Min || got.Max != tc.want.Max ||
@@ -61,13 +73,6 @@ func TestQuantileEmptyIsZero(t *testing.T) {
 	}
 }
 
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int64{10, 20, 30})
-	if s.Mean != 20 || s.Min != 10 || s.Max != 30 {
-		t.Fatalf("SummarizeInts %+v wrong", s)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	sorted := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	cases := []struct{ q, want float64 }{
@@ -81,7 +86,7 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	if Summarize([]float64{1, 2}).String() == "" {
+	if summarize([]float64{1, 2}).String() == "" {
 		t.Fatal("empty String()")
 	}
 }
@@ -154,25 +159,6 @@ func TestLogLogSlopeSkipsNonPositive(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); !almost(got, 2, 1e-12) {
-		t.Errorf("GeoMean(1,4) = %v, want 2", got)
-	}
-	if got := GeoMean([]float64{8}); !almost(got, 8, 1e-12) {
-		t.Errorf("GeoMean(8) = %v", got)
-	}
-	for _, bad := range [][]float64{nil, {1, 0}, {-2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("GeoMean(%v) did not panic", bad)
-				}
-			}()
-			GeoMean(bad)
-		}()
-	}
-}
-
 // Property: Summarize respects ordering invariants.
 func TestQuickSummaryInvariants(t *testing.T) {
 	f := func(raw []int16) bool {
@@ -183,7 +169,7 @@ func TestQuickSummaryInvariants(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		s := Summarize(xs)
+		s := summarize(xs)
 		return s.Min <= s.P25 && s.P25 <= s.Median && s.Median <= s.P75 &&
 			s.P75 <= s.P95 && s.P95 <= s.Max && s.Min <= s.Mean && s.Mean <= s.Max &&
 			s.Std >= 0

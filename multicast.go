@@ -196,7 +196,7 @@ func RunTrialsContext(ctx context.Context, cfg Config, plan TrialPlan, sink Tria
 	if err != nil {
 		return err
 	}
-	return runner.Run(ctx, sc, runner.Plan{
+	return runner.Run(ctx, sc, runner.SweepPlan{
 		Trials:  plan.Trials,
 		Shard:   runner.Shard(plan.Shard),
 		Workers: plan.Workers,
